@@ -116,6 +116,9 @@ type Session struct {
 	// prevMap[k] is the cur-index of prev's job k, or -1 if removed.
 	prevMap []int
 
+	// stats counts how the converges ran (see Stats).
+	stats SessionStats
+
 	// Delta bookkeeping for the staged changes, in cur.topo numbering:
 	// seeds are the subjob ids whose inputs changed (the dirty cone grows
 	// from their dependents-closure), resetArr the source-hop ids whose
@@ -123,6 +126,26 @@ type Session struct {
 	// republish the ids whose demand staircases must be rebuilt before the
 	// sweep (approximate engine only).
 	seeds, resetArr, republish map[int]struct{}
+}
+
+// SessionStats counts how a session's converges ran: whether the warm
+// path is still warm. Counters are cumulative over the session's life,
+// across commits, rollbacks and restores.
+type SessionStats struct {
+	// DeltaConverges counts converges that re-ran only the dirty cone
+	// over the resident fixed point, early-rejected ones included.
+	DeltaConverges int64
+	// ColdConverges counts converges that analyzed the whole working
+	// system from scratch (the first converge, the iterative engine, and
+	// every converge after an error, an early reject or an unconverged
+	// commit dropped the warm state).
+	ColdConverges int64
+	// EarlyRejects counts Schedulable calls that stopped at the first
+	// proven deadline miss.
+	EarlyRejects int64
+	// LastCone is the dirty-cone size, in subjobs, of the most recent
+	// delta converge.
+	LastCone int
 }
 
 // Checkpoint is an O(1) snapshot of a session's committed state.
@@ -142,7 +165,7 @@ func NewSession(sys *model.System, cfg SessionConfig) (*Session, error) {
 	s.prev = s.base
 	s.prevMap = identityMap(len(s.base.sys.Jobs))
 	s.clearDelta()
-	if _, err := s.convergeLocked(); err != nil {
+	if _, err := s.convergeLocked(false); err != nil {
 		return nil, err
 	}
 	s.commitLocked()
@@ -642,7 +665,7 @@ func (s *Session) SetOptions(opts Options) {
 func (s *Session) Converge() (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.convergeLocked()
+	return s.convergeLocked(false)
 }
 
 // Result returns the committed converged Result, or ErrNotConverged when
@@ -657,11 +680,22 @@ func (s *Session) Result() (*Result, error) {
 }
 
 // Schedulable converges the working system and applies the paper's
-// admission test (Theorem 4 bounds vs end-to-end deadlines).
+// admission test (Theorem 4 bounds vs end-to-end deadlines). It is the
+// verdict-only entry: a delta converge stops at the first proven deadline
+// miss (see earlyReject) and returns false. The verdict always equals
+// Result.Schedulable after a full Converge of the same staged system; an
+// accepted verdict leaves the stage converged exactly as Converge would,
+// a rejected one may leave it unconverged and cold, as after a budget
+// trip — Rollback restores the warm committed state, and a Converge
+// instead re-analyzes cold.
 func (s *Session) Schedulable() (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.convergeLocked()
+	res, err := s.convergeLocked(true)
+	if errors.Is(err, errDeadlineMiss) {
+		s.stats.EarlyRejects++
+		return false, nil
+	}
 	if err != nil {
 		return false, err
 	}
@@ -669,6 +703,13 @@ func (s *Session) Schedulable() (bool, error) {
 		return true, nil
 	}
 	return res.Schedulable(s.cur.sys), nil
+}
+
+// Stats returns the session's converge counters.
+func (s *Session) Stats() SessionStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.stats
 }
 
 // System returns a snapshot of the committed system.

@@ -19,10 +19,12 @@ package analysis
 // engines are: the sweep schedule is unobservable.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"rta/internal/curve"
 	"rta/internal/fault"
@@ -47,7 +49,10 @@ func (s *Session) afterConverge() {
 	s.clearDelta()
 }
 
-func (s *Session) convergeLocked() (res *Result, err error) {
+// convergeLocked converges the working system; verdict selects the
+// verdict-only converge of Schedulable, which may stop at the first proven
+// deadline miss with errDeadlineMiss.
+func (s *Session) convergeLocked(verdict bool) (res *Result, err error) {
 	defer func() {
 		if err != nil {
 			s.fail()
@@ -81,7 +86,7 @@ func (s *Session) convergeLocked() (res *Result, err error) {
 	}
 	if s.cur.warm && mode == s.cur.mode {
 		if _, acyclic := s.cur.topo.Levels(); acyclic {
-			return s.convergeDelta(mode)
+			return s.convergeDelta(mode, verdict)
 		}
 		// A staged change introduced a cycle; fall through to the cold
 		// path, which reports ErrCyclic exactly as AnalyzeOpts does.
@@ -92,6 +97,7 @@ func (s *Session) convergeLocked() (res *Result, err error) {
 // convergeFull analyzes the working system from scratch, mirroring the
 // cold entry points, and makes the session warm (acyclic engines only).
 func (s *Session) convergeFull(mode sessionMode) (*Result, error) {
+	s.stats.ColdConverges++
 	s.cur.warm = false
 	s.cur.st, s.cur.ex, s.cur.exMemo, s.cur.res = nil, nil, nil, nil
 	s.cur.mode = mode
@@ -123,7 +129,7 @@ func (s *Session) convergeFull(mode sessionMode) (*Result, error) {
 		for i := range all {
 			all[i] = i
 		}
-		err := spp.Reanalyze(opts.ctx(), sys, memo, ex, all, opts.workers(), opts.limiter())
+		err := spp.Reanalyze(opts.ctx(), sys, memo, ex, all, opts.workers(), opts.limiter(), nil)
 		res := assembleExact(ex)
 		if err != nil {
 			if errors.Is(err, ErrBudgetExceeded) {
@@ -177,8 +183,10 @@ func assembleExact(ex *spp.Result) *Result {
 }
 
 // convergeDelta re-converges the dependency cone of the staged changes
-// over the resident fixed point.
-func (s *Session) convergeDelta(mode sessionMode) (*Result, error) {
+// over the resident fixed point. With verdict set it stops at the first
+// proven deadline miss and returns errDeadlineMiss, leaving the stage
+// unconverged (the caller's error path drops the warm state).
+func (s *Session) convergeDelta(mode sessionMode, verdict bool) (*Result, error) {
 	sys, topo := s.cur.sys, s.cur.topo
 	anchor := &s.prev
 
@@ -239,8 +247,20 @@ func (s *Session) convergeDelta(mode sessionMode) (*Result, error) {
 			}
 		}
 	}
-	ids := append([]int(nil), queue...)
-	slices.Sort(ids)
+	slices.Sort(queue)
+	// Dispatch preference: the hops of jobs admitted this stage first, so
+	// the sweep reaches the newcomer's own verdict as soon as its
+	// dependencies allow (the schedule is unobservable in the results).
+	ids := make([]int, 0, len(queue))
+	for _, admitted := range []bool{true, false} {
+		for _, id := range queue {
+			if (rev[topo.Subjobs()[id].Job] < 0) == admitted {
+				ids = append(ids, id)
+			}
+		}
+	}
+	s.stats.DeltaConverges++
+	s.stats.LastCone = len(ids)
 
 	// Memo retention: a priority-prefix entry survives when every leading
 	// member before it is the same subjob at the same position as in the
@@ -269,11 +289,25 @@ func (s *Session) convergeDelta(mode sessionMode) (*Result, error) {
 	}
 
 	resetArr := setToSorted(s.resetArr)
+	ctx := s.cfg.Opts.ctx()
+	var miss *earlyReject
+	if verdict {
+		miss = newEarlyReject(ctx, sys)
+		ctx = miss.ctx
+		defer miss.cancel()
+	}
 	var err error
 	if mode == modeExact {
-		err = s.deltaExact(ids, resetArr, keepPrefix, keepFCFS)
+		err = s.deltaExact(ctx, ids, resetArr, keepPrefix, keepFCFS, miss)
 	} else {
-		err = s.deltaApprox(ids, resetArr, keepPrefix, keepFCFS)
+		if miss != nil {
+			miss.seedPaths(s.cur.st, topo, ids, inDirty)
+		}
+		err = s.deltaApprox(ctx, ids, resetArr, keepPrefix, keepFCFS, miss)
+	}
+	if miss != nil && miss.proven.Load() {
+		s.cur.res = nil
+		return nil, errDeadlineMiss
 	}
 	if err != nil {
 		return s.cur.res, err // res: partial on budget, nil otherwise
@@ -302,7 +336,7 @@ func affectedJobs(topo *model.Topology, ids []int) map[int]struct{} {
 }
 
 // deltaApprox re-runs the Theorem 4 pipeline over the dirty cone.
-func (s *Session) deltaApprox(ids, resetArr []int, keepPrefix []int, keepFCFS []bool) error {
+func (s *Session) deltaApprox(ctx context.Context, ids, resetArr []int, keepPrefix []int, keepFCFS []bool, miss *earlyReject) error {
 	sys, topo := s.cur.sys, s.cur.topo
 	opts := s.cfg.Opts
 
@@ -353,9 +387,12 @@ func (s *Session) deltaApprox(ids, resetArr []int, keepPrefix []int, keepFCFS []
 		for _, id := range republish {
 			st.publishDemand(refs[id])
 		}
-		runErr = par.RunSubset(opts.ctx(), ids, topo.Deps, topo.Dependents, opts.workers(), func(id int) {
+		runErr = par.RunSubset(ctx, ids, topo.Deps, topo.Dependents, opts.workers(), func(id int) {
 			r := refs[id]
 			fault.Tag(r.Job, r.Hop, sys.Subjob(r).Proc, func() { st.computeSubjob(r) })
+			if miss != nil {
+				miss.approxHop(st, r, id)
+			}
 		})
 	})
 	if be != nil {
@@ -373,7 +410,7 @@ func (s *Session) deltaApprox(ids, resetArr []int, keepPrefix []int, keepFCFS []
 }
 
 // deltaExact re-runs the exact per-subjob analysis over the dirty cone.
-func (s *Session) deltaExact(ids, resetArr []int, keepPrefix []int, keepFCFS []bool) error {
+func (s *Session) deltaExact(ctx context.Context, ids, resetArr []int, keepPrefix []int, keepFCFS []bool, miss *earlyReject) error {
 	sys, topo := s.cur.sys, s.cur.topo
 	opts := s.cfg.Opts
 
@@ -392,7 +429,11 @@ func (s *Session) deltaExact(ids, resetArr []int, keepPrefix []int, keepFCFS []b
 		r := refs[id]
 		ex.Arrival[r.Job][r.Hop] = append([]model.Ticks(nil), sys.Jobs[r.Job].Releases...)
 	}
-	err := spp.Reanalyze(opts.ctx(), sys, memo, ex, ids, opts.workers(), opts.limiter())
+	var after func(model.SubjobRef)
+	if miss != nil {
+		after = func(r model.SubjobRef) { miss.exactHop(ex, r) }
+	}
+	err := spp.Reanalyze(ctx, sys, memo, ex, ids, opts.workers(), opts.limiter(), after)
 	res := assembleExact(ex)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExceeded) {
@@ -405,4 +446,125 @@ func (s *Session) deltaExact(ids, resetArr []int, keepPrefix []int, keepFCFS []b
 	}
 	s.cur.res = res
 	return nil
+}
+
+// Early reject. Schedulable only needs the verdict, and a miss can be
+// proven long before the sweep ends: in dependency order every subjob's
+// rows are final the moment they are computed, and the end-to-end bound
+// of a DirectSync job can only grow past what its already-final hops
+// show. Two rules, one per acyclic engine, for DirectSync jobs only:
+//
+//   - Approximate: WCRTSum[k] is the longest source->sink path sum of
+//     Local[j] plus the PostDelay of every edge (state.result). The
+//     partial sum acc[j] = max over preds (acc[p] + PostDelay[p]) +
+//     Local[j], with resident Local for clean hops, is a path prefix;
+//     every term is non-negative and every hop reaches a sink, so
+//     WCRTSum[k] >= acc[j]. acc[j] > D_k, or an unbounded hop (which
+//     makes WCRTSum[k] unbounded), proves the miss.
+//   - Exact: an instance's arrival at a hop is the max over predecessors
+//     of their departures plus a non-negative PostDelay, and it departs
+//     no earlier than it arrives, so departures only grow along
+//     precedence edges and the sink's response to instance i is at
+//     least Departure[k][j][i] - Releases[i]. A finite value above D_k
+//     proves the miss.
+//
+// Non-DirectSync jobs report the per-instance pipeline bound instead of
+// the path sum and are never used to reject early; neither is a miss in
+// a job outside the dirty cone. Those fall
+// through to the full converge and Result.Schedulable, as do all
+// accepted decisions, which run the whole cone exactly as Converge does.
+
+// errDeadlineMiss stops a verdict-only converge at a proven miss.
+var errDeadlineMiss = errors.New("analysis: deadline miss proven")
+
+// earlyReject watches one verdict-only delta converge for a proven miss
+// and cancels its sweep when it finds one.
+type earlyReject struct {
+	sys    *model.System
+	ctx    context.Context
+	cancel context.CancelFunc
+	proven atomic.Bool
+	// acc[id] is the approximate rule's longest-path prefix sum ending at
+	// subjob id (curve.Inf when unbounded). Clean hops are filled before
+	// the sweep; a dirty hop's slot is written by the worker that computed
+	// it and read only by its job successors, after the dependency edge
+	// fires.
+	acc []model.Ticks
+}
+
+func newEarlyReject(parent context.Context, sys *model.System) *earlyReject {
+	ctx, cancel := context.WithCancel(parent)
+	return &earlyReject{sys: sys, ctx: ctx, cancel: cancel}
+}
+
+// prove records the miss and stops the sweep.
+func (e *earlyReject) prove() {
+	e.proven.Store(true)
+	e.cancel()
+}
+
+// seedPaths fills acc for the clean hops of every DirectSync job that has
+// a dirty hop. Clean hops only have clean job predecessors (the cone is
+// closed under dependents), so their resident Local values are final.
+func (e *earlyReject) seedPaths(st *state, topo *model.Topology, ids []int, inDirty []bool) {
+	e.acc = make([]model.Ticks, len(topo.Subjobs()))
+	for k := range affectedJobs(topo, ids) {
+		if e.sys.Jobs[k].Sync != model.DirectSync {
+			continue
+		}
+		for _, j := range topo.HopOrder(k) {
+			if id := topo.ID(model.SubjobRef{Job: k, Hop: j}); !inDirty[id] {
+				e.acc[id] = e.pathSum(st, topo, k, j)
+			}
+		}
+	}
+}
+
+// pathSum is the acc recurrence at hop j of job k, over its predecessors'
+// acc slots.
+func (e *earlyReject) pathSum(st *state, topo *model.Topology, k, j int) model.Ticks {
+	job := &e.sys.Jobs[k]
+	hop := &st.hops[k][j]
+	if hop.DepLate == nil || curve.IsInf(hop.Local) {
+		return curve.Inf
+	}
+	var best model.Ticks
+	var scratch [1]int
+	for _, p := range job.HopPreds(j, &scratch) {
+		a := e.acc[topo.ID(model.SubjobRef{Job: k, Hop: p})]
+		if curve.IsInf(a) {
+			return curve.Inf
+		}
+		if c := a + job.Subjobs[p].PostDelay; c > best {
+			best = c
+		}
+	}
+	return best + hop.Local
+}
+
+// approxHop applies the approximate rule to a just-computed subjob.
+func (e *earlyReject) approxHop(st *state, r model.SubjobRef, id int) {
+	job := &e.sys.Jobs[r.Job]
+	if job.Sync != model.DirectSync {
+		return
+	}
+	a := e.pathSum(st, st.topo, r.Job, r.Hop)
+	e.acc[id] = a
+	if curve.IsInf(a) || a > job.Deadline {
+		e.prove()
+	}
+}
+
+// exactHop applies the exact rule to a just-computed subjob.
+func (e *earlyReject) exactHop(ex *spp.Result, r model.SubjobRef) {
+	job := &e.sys.Jobs[r.Job]
+	if job.Sync != model.DirectSync {
+		return
+	}
+	for i, dep := range ex.Departure[r.Job][r.Hop] {
+		if !curve.IsInf(dep) && dep-job.Releases[i] > job.Deadline {
+			e.prove()
+			return
+		}
+	}
 }

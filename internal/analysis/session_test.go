@@ -45,6 +45,33 @@ func requireWarmEqualsCold(t *testing.T, label string, s *Session, opts Options)
 	return warm
 }
 
+// requireVerdict asks the session for its verdict-only Schedulable and
+// asserts it equals the cold verdict on the same working system. An
+// accept leaves the stage converged (the next requireWarmEqualsCold
+// checks it); a reject is rolled back, and the committed state must then
+// still match cold analysis.
+func requireVerdict(t *testing.T, label string, s *Session, opts Options) bool {
+	t.Helper()
+	working := s.WorkingSystem()
+	cold, cerr := AnalyzeOpts(working, opts)
+	got, err := s.Schedulable()
+	if (err == nil) != (cerr == nil) {
+		t.Fatalf("%s: error mismatch: Schedulable %v vs cold %v", label, err, cerr)
+	}
+	if err != nil {
+		s.Rollback()
+		return false
+	}
+	if want := cold.Schedulable(working); got != want {
+		t.Fatalf("%s: Schedulable = %v, cold verdict %v", label, got, want)
+	}
+	if !got {
+		s.Rollback()
+		requireWarmEqualsCold(t, label+" (rolled back)", s, opts)
+	}
+	return got
+}
+
 // TestSessionColdEquivalence scripts an admit/remove/mutate/rollback
 // churn over every registered policy and both worker counts, asserting
 // after every converge that the warm result is bit-identical to cold
@@ -62,13 +89,26 @@ func TestSessionColdEquivalence(t *testing.T) {
 				requireWarmEqualsCold(t, "initial", s, opts)
 				s.Commit()
 
-				// Admit a fresh job.
+				// Admit a fresh job, through the verdict-only entry.
 				newJob := cloneJob(base.Jobs[3])
 				newJob.Name = "newcomer"
 				newJob.Subjobs[1].Priority = 2
 				s.Admit(newJob)
+				if !requireVerdict(t, "admit", s, opts) {
+					t.Fatal("admit: newcomer rejected")
+				}
 				requireWarmEqualsCold(t, "admit", s, opts)
 				s.Commit()
+
+				// A deadline-1 probe is rejected (early) and rolled back;
+				// the next delta starts from the warm committed state.
+				probe := cloneJob(newJob)
+				probe.Name = "probe"
+				probe.Deadline = 1
+				s.Admit(probe)
+				if requireVerdict(t, "probe", s, opts) {
+					t.Fatal("probe: deadline-1 job admitted")
+				}
 
 				// Remove a mid-priority job.
 				if err := s.Remove(4); err != nil {
@@ -400,6 +440,7 @@ func FuzzSessionChurn(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 1, 1, 30, 2, 61, 7, 8})
 	f.Add([]byte{4, 0, 4, 1, 4, 2, 4, 3})
+	f.Add([]byte{1, 18, 10, 66, 10, 0, 10, 42, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -425,6 +466,9 @@ func FuzzSessionChurn(f *testing.F) {
 				j := cloneJob(base.Jobs[int(b/6)%len(base.Jobs)])
 				j.Name = fmt.Sprintf("f%d", next)
 				j.Subjobs[0].Priority = int(b) % 13
+				if (b/6)%4 == 3 {
+					j.Deadline = 1 + model.Ticks(b%50) // a probe to reject
+				}
 				next++
 				s.Admit(j)
 			case 1:
@@ -447,6 +491,15 @@ func FuzzSessionChurn(f *testing.F) {
 					return nil
 				})
 			case 4:
+				if (b/6)%2 == 1 {
+					// The admission controller's path: verdict first, then
+					// commit an accept (a reject was rolled back).
+					if requireVerdict(t, fmt.Sprintf("op %d verdict", i), s, opts) {
+						requireWarmEqualsCold(t, fmt.Sprintf("op %d", i), s, opts)
+						s.Commit()
+					}
+					continue
+				}
 				requireWarmEqualsCold(t, fmt.Sprintf("op %d", i), s, opts)
 				s.Commit()
 			default:

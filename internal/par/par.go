@@ -169,14 +169,17 @@ func Run(ctx context.Context, n int, deps, dependents func(id int) []int, worker
 }
 
 // RunSubset is Run restricted to an induced subgraph: f runs once for
-// every id in ids (which must be sorted ascending and duplicate-free),
-// ordered by the edges of deps/dependents that have both endpoints in the
-// subset. Edges leaving the subset are dropped — the caller asserts those
-// inputs are already final (the warm-start engines re-run only a dirty
-// dependents-closure, whose external dependencies are resident converged
-// state). Because local rank order equals global id order, the serial
-// sweep visits the subset in the same relative order as a full Run, and
-// the fault-containment contract (cancellation, panic re-raise, cycle
+// every id in ids (which must be duplicate-free), ordered by the edges of
+// deps/dependents that have both endpoints in the subset. Edges leaving
+// the subset are dropped — the caller asserts those inputs are already
+// final (the warm-start engines re-run only a dirty dependents-closure,
+// whose external dependencies are resident converged state). Among ready
+// nodes, the one listed earliest in ids is dispatched first: sorted ids
+// make the serial sweep visit the subset in the same relative order as a
+// full Run, and callers that want some nodes as early as their
+// dependencies allow list them first. Under the correctness contract the
+// order changes only the schedule, never the results. The
+// fault-containment contract (cancellation, panic re-raise, cycle
 // starvation) carries over unchanged.
 func RunSubset(ctx context.Context, ids []int, deps, dependents func(id int) []int, workers int, f func(id int)) error {
 	n := len(ids)

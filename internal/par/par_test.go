@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,5 +143,29 @@ func TestLevelMidflightCancellation(t *testing.T) {
 func TestLevelEmpty(t *testing.T) {
 	if err := Level(nil, nil, 8, func(id int) { t.Fatal("ran") }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunSubsetDispatchPreference: among ready nodes the serial sweep
+// dispatches the one listed first in ids, whatever the id values.
+func TestRunSubsetDispatchPreference(t *testing.T) {
+	deps := func(id int) []int {
+		if id == 9 {
+			return []int{1}
+		}
+		return nil
+	}
+	dependents := func(id int) []int {
+		if id == 1 {
+			return []int{9}
+		}
+		return nil
+	}
+	var got []int
+	if err := RunSubset(nil, []int{7, 9, 1, 3}, deps, dependents, 1, func(id int) { got = append(got, id) }); err != nil {
+		t.Fatalf("RunSubset: %v", err)
+	}
+	if want := []int{7, 1, 9, 3}; !slices.Equal(got, want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
 	}
 }

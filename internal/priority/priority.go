@@ -5,7 +5,8 @@
 package priority
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rta/internal/model"
 )
@@ -17,36 +18,18 @@ import (
 //
 // and on every processor the subjobs are ranked by sub-deadline, smallest
 // first (rank = priority value; smaller is higher priority). Ties rank
-// deterministically by (job, hop).
+// deterministically by (job, hop). The whole reassignment reads one
+// topology index, taken before the first priority is rewritten, so it
+// costs at most one index build however many processors it ranks.
 func RelativeDeadlineMonotonic(sys *model.System) {
-	type entry struct {
-		ref model.SubjobRef
-		sub float64
-	}
-	for p := range sys.Procs {
-		var entries []entry
-		for _, ref := range sys.OnProc(p) {
-			job := &sys.Jobs[ref.Job]
-			var total model.Ticks
-			for _, sj := range job.Subjobs {
-				total += sj.Exec
-			}
-			sub := float64(job.Subjobs[ref.Hop].Exec) / float64(total) * float64(job.Deadline)
-			entries = append(entries, entry{ref, sub})
+	byKey(sys, func(ref model.SubjobRef) float64 {
+		job := &sys.Jobs[ref.Job]
+		var total model.Ticks
+		for _, sj := range job.Subjobs {
+			total += sj.Exec
 		}
-		sort.SliceStable(entries, func(a, b int) bool {
-			if entries[a].sub != entries[b].sub {
-				return entries[a].sub < entries[b].sub
-			}
-			if entries[a].ref.Job != entries[b].ref.Job {
-				return entries[a].ref.Job < entries[b].ref.Job
-			}
-			return entries[a].ref.Hop < entries[b].ref.Hop
-		})
-		for rank, e := range entries {
-			sys.Subjob(e.ref).Priority = rank
-		}
-	}
+		return float64(job.Subjobs[ref.Hop].Exec) / float64(total) * float64(job.Deadline)
+	})
 }
 
 // DeadlineMonotonic ranks subjobs on each processor by their job's
@@ -66,21 +49,34 @@ func RateMonotonic(sys *model.System, periods []model.Ticks) {
 	})
 }
 
+// byKey ranks the subjobs of every processor by (key, job, hop), smallest
+// first. Per-processor membership does not depend on priorities, so the
+// topology taken before the first write stays a valid membership index
+// while the priorities are rewritten; its shared slices are copied, never
+// sorted in place. key is evaluated once per subjob.
 func byKey(sys *model.System, key func(model.SubjobRef) float64) {
+	type entry struct {
+		ref model.SubjobRef
+		key float64
+	}
+	topo := sys.Topology()
+	var entries []entry
 	for p := range sys.Procs {
-		refs := sys.OnProc(p)
-		sort.SliceStable(refs, func(a, b int) bool {
-			ka, kb := key(refs[a]), key(refs[b])
-			if ka != kb {
-				return ka < kb
+		entries = entries[:0]
+		for _, ref := range topo.OnProc(p) {
+			entries = append(entries, entry{ref, key(ref)})
+		}
+		slices.SortFunc(entries, func(a, b entry) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
 			}
-			if refs[a].Job != refs[b].Job {
-				return refs[a].Job < refs[b].Job
+			if c := cmp.Compare(a.ref.Job, b.ref.Job); c != 0 {
+				return c
 			}
-			return refs[a].Hop < refs[b].Hop
+			return cmp.Compare(a.ref.Hop, b.ref.Hop)
 		})
-		for rank, ref := range refs {
-			sys.Subjob(ref).Priority = rank
+		for rank, e := range entries {
+			sys.Subjob(e.ref).Priority = rank
 		}
 	}
 }

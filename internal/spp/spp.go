@@ -108,7 +108,7 @@ func AnalyzeWith(ctx context.Context, sys *model.System, workers int, lim *curve
 	for i := range all {
 		all[i] = i
 	}
-	if err := Reanalyze(ctx, sys, sched.NewMemo(topo), res, all, workers, lim); err != nil {
+	if err := Reanalyze(ctx, sys, sched.NewMemo(topo), res, all, workers, lim, nil); err != nil {
 		if errors.Is(err, fault.ErrBudgetExceeded) {
 			return res, err
 		}
@@ -144,16 +144,21 @@ func NewResult(sys *model.System) *Result {
 }
 
 // Reanalyze re-runs the exact per-subjob analysis over the given subjob
-// ids (sorted ascending, in sys.Topology() numbering) and recomputes every
-// WCRT from the refreshed rows. The caller guarantees sys is a valid,
-// acyclic, resource-free all-SPP system, memo belongs to the current
-// topology with any stale prefix entries invalidated (sched.Memo.Extend),
-// and every row a dirty subjob reads that is NOT in ids already holds its
-// converged value — then the refreshed rows are bit-identical to a cold
-// AnalyzeWith at any worker count. On a tripped breakpoint budget the rows
-// analyzed so far stay published and an error wrapping
-// fault.ErrBudgetExceeded is returned, mirroring AnalyzeWith.
-func Reanalyze(ctx context.Context, sys *model.System, memo *sched.Memo, res *Result, ids []int, workers int, lim *curve.Limiter) error {
+// ids (duplicate-free, in sys.Topology() numbering; their order is the
+// dispatch preference among ready subjobs, see par.RunSubset) and
+// recomputes every WCRT from the refreshed rows. after, when non-nil, is
+// called with each subjob right after its rows are final, on the worker
+// that computed them; it may cancel ctx to stop the sweep early, which
+// returns the cancellation error as for any cancelled run. The caller
+// guarantees sys is a valid, acyclic, resource-free all-SPP system, memo
+// belongs to the current topology with any stale prefix entries
+// invalidated (sched.Memo.Extend), and every row a dirty subjob reads
+// that is NOT in ids already holds its converged value — then the
+// refreshed rows are bit-identical to a cold AnalyzeWith at any worker
+// count. On a tripped breakpoint budget the rows analyzed so far stay
+// published and an error wrapping fault.ErrBudgetExceeded is returned,
+// mirroring AnalyzeWith.
+func Reanalyze(ctx context.Context, sys *model.System, memo *sched.Memo, res *Result, ids []int, workers int, lim *curve.Limiter, after func(model.SubjobRef)) error {
 	topo := sys.Topology()
 	refs := topo.Subjobs()
 	var budgetErr error
@@ -177,6 +182,9 @@ func Reanalyze(ctx context.Context, sys *model.System, memo *sched.Memo, res *Re
 			fault.Tag(r.Job, r.Hop, sys.Subjob(r).Proc, func() {
 				analyzeSubjob(sys, topo, memo, res, lim, r)
 			})
+			if after != nil {
+				after(r)
+			}
 		})
 	}()
 	if sweepErr != nil {

@@ -115,15 +115,14 @@ func (r *Result) SchedulableTight(sys *model.System) bool {
 // Options tune how an analysis executes without changing what it
 // computes.
 type Options struct {
-	// Workers bounds the worker pool of the level-parallel engines: the
-	// subjobs of one dependency level touch disjoint state and are
-	// evaluated concurrently by up to Workers goroutines. Results are
-	// field-identical for every worker count (see run). Zero or one
+	// Workers bounds the worker pool of the acyclic engines: subjobs
+	// whose prerequisites are done touch disjoint state and are evaluated
+	// concurrently by up to Workers goroutines. Results are
+	// field-identical for every worker count (see state.sweep). Zero or one
 	// selects the serial sweep; negative selects GOMAXPROCS.
 	Workers int
 	// Context cancels the analysis: cancellation is observed between
-	// subjob evaluations (within one dependency-level barrier for the
-	// parallel engines), in-flight evaluations drain, and the entry point
+	// subjob evaluations, in-flight evaluations drain, and the entry point
 	// returns an error wrapping ctx.Err(). Nil means context.Background.
 	Context context.Context
 	// Budget bounds the resources one analysis may consume; the zero
@@ -178,23 +177,6 @@ func (o Options) limiter() *curve.Limiter {
 	return nil
 }
 
-// catchBudget runs f and intercepts a *curve.BudgetError panic (possibly
-// fault-tagged) raised by a limiter; any other panic keeps unwinding
-// toward the entry-point boundary.
-func catchBudget(f func()) (be *curve.BudgetError) {
-	defer func() {
-		if r := recover(); r != nil {
-			if b, ok := fault.Payload(r).(*curve.BudgetError); ok {
-				be = b
-				return
-			}
-			panic(r)
-		}
-	}()
-	f()
-	return nil
-}
-
 // Analyze dispatches to the exact analysis when every processor runs SPP
 // and no shared resources are declared, and to the approximate analysis
 // otherwise (resource blocking depends on critical-section placement at
@@ -215,26 +197,36 @@ func Exact(sys *model.System) (*Result, error) { return ExactOpts(sys, Options{}
 // ExactOpts is Exact with execution options.
 func ExactOpts(sys *model.System, opts Options) (res *Result, err error) {
 	defer fault.Boundary("analysis.Exact", &err)
-	er, sppErr := spp.AnalyzeWith(opts.ctx(), sys, opts.workers(), opts.limiter())
-	if sppErr != nil && er == nil {
-		if errors.Is(sppErr, spp.ErrCyclic) {
+	if err := spp.Check(sys); err != nil {
+		if errors.Is(err, spp.ErrCyclic) {
 			return nil, ErrCyclic
 		}
-		return nil, sppErr
+		return nil, err
 	}
-	res = &Result{
+	return sweepExact(opts.ctx(), sys, sched.NewMemo(sys.Topology()), spp.NewResult(sys), nil, opts, nil)
+}
+
+// sweepExact runs the exact engine's sweep (spp.Reanalyze) over the
+// subjob ids of ex (nil = every subjob) and assembles the Result. On a
+// breakpoint-budget trip it returns the partial result, Method
+// "SPP/Exact(budget)": jobs whose sinks were analyzed keep their exact
+// bounds, the rest report curve.Inf. after is spp.Reanalyze's per-subjob
+// hook.
+func sweepExact(ctx context.Context, sys *model.System, memo *sched.Memo, ex *spp.Result, ids []int, opts Options, after func(model.SubjobRef)) (*Result, error) {
+	err := spp.Reanalyze(ctx, sys, memo, ex, ids, opts.workers(), opts.limiter(), after)
+	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
+		return nil, err
+	}
+	res := &Result{
 		Method:  "SPP/Exact",
-		WCRT:    append([]model.Ticks(nil), er.WCRT...),
-		WCRTSum: append([]model.Ticks(nil), er.WCRT...),
-		Exact:   er,
+		WCRT:    append([]model.Ticks(nil), ex.WCRT...),
+		WCRTSum: append([]model.Ticks(nil), ex.WCRT...),
+		Exact:   ex,
 	}
-	if sppErr != nil {
-		// Budget-truncated partial result: completed jobs keep their exact
-		// bounds, the rest already report curve.Inf.
-		res.Method = "SPP/Exact(budget)"
-		return res, sppErr
+	if err != nil {
+		res.Method += "(budget)"
 	}
-	return res, nil
+	return res, err
 }
 
 // Approximate runs the Theorem 4 pipeline on a system with any mix of
@@ -249,61 +241,39 @@ func ApproximateOpts(sys *model.System, opts Options) (res *Result, err error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	var st *state
-	be := catchBudget(func() {
-		st = newState(sys, opts.limiter())
-		err = st.run(opts.ctx(), opts.workers())
-	})
-	if be != nil {
-		// Partial result: jobs with an uncomputed hop report curve.Inf
-		// (see result), the rest keep the bounds already derived.
-		if st == nil {
-			return nil, fmt.Errorf("analysis: %w", be)
-		}
-		res := st.result()
-		res.Method = "App(budget)"
-		return res, fmt.Errorf("analysis: %w", be)
+	if _, acyclic := sys.Topology().Levels(); !acyclic {
+		return nil, ErrCyclic
 	}
-	if err != nil {
-		return nil, err
-	}
-	return st.result(), nil
+	return newState(sys).sweep(opts.ctx(), nil, opts, nil)
 }
 
-// state carries the worklist computation of the approximate pipeline.
+// state carries the per-subjob rows of the approximate pipeline.
 type state struct {
 	sys  *model.System
 	topo *model.Topology
 	hops [][]Hop
 	// demandLo/demandHi cache, per subjob id, the workload staircases
-	// built from the hop's latest respectively earliest arrivals. Source
-	// hops are published by newState straight from the release trace;
-	// every other hop is published by ensureArrivals when its arrival
-	// bounds are first needed — by its own evaluation or, on FCFS
-	// processors, by a co-located subjob folding it into Equation 21's
-	// total workload. Either way the inputs (the precedence predecessors'
-	// departure vectors) are final by then, so the cached staircases are
-	// deterministic regardless of which reader resolves them first.
+	// built from the hop's latest respectively earliest arrivals. A hop's
+	// pair is published by ensureArrivals when its arrival bounds are
+	// first needed — by its own evaluation or, on FCFS processors, by a
+	// co-located subjob folding it into Equation 21's total workload.
+	// Either way the inputs (the release trace, or the precedence
+	// predecessors' departure vectors) are final by then, so the cached
+	// staircases are deterministic regardless of which reader resolves
+	// them first.
 	demandLo, demandHi []*curve.Curve
-	// arrState guards the lazy arrival resolution of the acyclic engine,
-	// one word per subjob id (see ensureArrivals); nil in iterative mode,
-	// where pinIterativeStart materializes every hop's arrivals up front
-	// and re-merges them across rounds instead.
+	// arrState guards the lazy arrival resolution of a sweep, one word per
+	// subjob id (see ensureArrivals); sweep sets it up.
 	arrState []uint32
 	// resolveMu serializes concurrent resolvers of the same hop in the
 	// parallel engine; the value computed is identical whoever wins.
 	resolveMu []sync.Mutex
-	// arrVer counts the ArrLate merges of each subjob and demandLoVer the
-	// version a cached demandLo was built at; the iterative engine uses
-	// the pair to rebuild a staircase only when its arrivals moved (the
-	// acyclic engines never mutate arrivals, so they ignore both).
-	arrVer, demandLoVer []uint64
 	// memo shares cross-subjob intermediates (prefix interference sums,
-	// FCFS totals) between the policy evaluations of one run. Sound here
+	// FCFS totals) between the policy evaluations of one sweep. Sound
 	// because the dependency order makes every input final before any
 	// reader runs; the iterative engine must keep ServiceContext.Memo nil.
 	memo *sched.Memo
-	// lim meters the curve breakpoints the run materializes; nil (no
+	// lim meters the curve breakpoints the sweep materializes; nil (no
 	// budget) never trips.
 	lim *curve.Limiter
 	// demandFn and serviceFn are the ServiceContext accessors, identical
@@ -313,46 +283,33 @@ type state struct {
 	serviceFn func(o model.SubjobRef) (*curve.Curve, *curve.Curve)
 }
 
-func newState(sys *model.System, lim *curve.Limiter) *state {
-	st := &state{sys: sys, topo: sys.Topology(), lim: lim}
+// newState returns a fresh resident for sys: every row empty, to be
+// filled by a sweep over every subjob.
+func newState(sys *model.System) *state {
+	st := &state{sys: sys, topo: sys.Topology()}
 	st.memo = sched.NewMemo(st.topo)
 	st.initFns()
 	st.hops = make([][]Hop, len(sys.Jobs))
+	for k := range sys.Jobs {
+		st.hops[k] = make([]Hop, len(sys.Jobs[k].Subjobs))
+	}
 	n := len(st.topo.Subjobs())
 	st.demandLo = make([]*curve.Curve, n)
 	st.demandHi = make([]*curve.Curve, n)
-	st.arrVer = make([]uint64, n)
-	st.demandLoVer = make([]uint64, n)
-	st.arrState = make([]uint32, n)
-	st.resolveMu = make([]sync.Mutex, n)
-	for k := range sys.Jobs {
-		st.hops[k] = make([]Hop, len(sys.Jobs[k].Subjobs))
-		for _, j := range st.topo.Sources(k) {
-			rel := append([]model.Ticks(nil), sys.Jobs[k].Releases...)
-			st.hops[k][j].ArrEarly = rel
-			st.hops[k][j].ArrLate = rel
-			r := model.SubjobRef{Job: k, Hop: j}
-			st.publishDemand(r)
-			st.arrState[st.topo.ID(r)] = 1
-		}
-	}
 	return st
 }
 
 // ensureArrivals resolves the arrival bounds (and demand staircases) of
-// a non-source hop on first use: the precedence predecessors' departure
-// vectors — all final, the dependency edges guarantee it — join by
-// elementwise max plus per-edge PostDelay, then the job's sync policy
-// applies at the hop (model.JoinReleases). Safe under concurrent callers
-// (the hop's own evaluation and, on FCFS processors, its co-located
-// readers may race here): the winner computes, the rest wait on the
-// per-id mutex, and the value is a pure function of final inputs, so
-// results stay field-identical at every worker count. A no-op in
-// iterative mode (arrState nil), which manages arrivals per round.
+// a hop on first use: a source hop takes its job's release trace; any
+// other joins its precedence predecessors' departure vectors — all
+// final, the dependency edges guarantee it — by elementwise max plus
+// per-edge PostDelay, then the job's sync policy applies at the hop
+// (model.JoinReleases). Safe under concurrent callers (the hop's own
+// evaluation and, on FCFS processors, its co-located readers may race
+// here): the winner computes, the rest wait on the per-id mutex, and the
+// value is a pure function of final inputs, so results stay
+// field-identical at every worker count.
 func (st *state) ensureArrivals(r model.SubjobRef) {
-	if st.arrState == nil {
-		return
-	}
 	id := st.topo.ID(r)
 	if atomic.LoadUint32(&st.arrState[id]) == 1 {
 		return
@@ -364,14 +321,18 @@ func (st *state) ensureArrivals(r model.SubjobRef) {
 	}
 	job := &st.sys.Jobs[r.Job]
 	var scratch [1]int
-	preds := job.HopPreds(r.Hop, &scratch)
 	hop := &st.hops[r.Job][r.Hop]
-	hop.ArrEarly = st.sys.JoinReleases(r.Job, r.Hop, preds, func(p int) []model.Ticks {
-		return st.hops[r.Job][p].DepEarly
-	})
-	hop.ArrLate = st.sys.JoinReleases(r.Job, r.Hop, preds, func(p int) []model.Ticks {
-		return st.hops[r.Job][p].DepLate
-	})
+	if preds := job.HopPreds(r.Hop, &scratch); len(preds) > 0 {
+		hop.ArrEarly = st.sys.JoinReleases(r.Job, r.Hop, preds, func(p int) []model.Ticks {
+			return st.hops[r.Job][p].DepEarly
+		})
+		hop.ArrLate = st.sys.JoinReleases(r.Job, r.Hop, preds, func(p int) []model.Ticks {
+			return st.hops[r.Job][p].DepLate
+		})
+	} else {
+		rel := append([]model.Ticks(nil), job.Releases...)
+		hop.ArrEarly, hop.ArrLate = rel, rel
+	}
 	st.publishDemand(r)
 	atomic.StoreUint32(&st.arrState[id], 1)
 }
@@ -403,37 +364,77 @@ func (st *state) publishDemand(r model.SubjobRef) {
 	st.lim.Charge(st.demandLo[id], st.demandHi[id])
 }
 
-// run computes every subjob in dependency order through par.Run's
-// dependency-counter work queue: a subjob becomes ready the moment its
-// last prerequisite (Topology.Deps) finishes, with no barrier between
-// dependency levels — a slow evaluation stalls only its own downstream
-// cone, not the whole sweep. Each evaluation writes only its own
-// per-subjob state (plus the next hop's arrival bounds, which nothing
-// reads before the dependency edge fires) and reads only finished
+// sweep recomputes the subjob ids (nil = every subjob) over the resident
+// rows in dependency order and assembles the Result. It is the one sweep
+// of the approximate engine: a cold run is a fresh resident swept over
+// every subjob, a warm delta a resident swept over its dirty cone. The
+// caller guarantees the rows of the listed ids are private to st and
+// every row they read that is not listed holds its converged value.
+//
+// The listed rows (and their cached demand staircases) are cleared first,
+// so a hop the sweep does not reach reads as uncomputed, never as its
+// previous value: a budget-truncated result is sound. Unlisted hops count
+// as resolved; listed ones resolve their arrivals lazily
+// (ensureArrivals).
+//
+// Scheduling goes through par's dependency-counter work queue: a subjob
+// becomes ready the moment its last prerequisite (Topology.Deps)
+// finishes, with no barrier between dependency levels. Each evaluation
+// writes only its own per-subjob state and reads only finished
 // prerequisites, so the computation is race-free and the results are
 // field-identical for every worker count, including the serial sweep
 // (the memoized intermediates regroup exact integer sums over unique
-// canonical curves; see sched.Memo). Total cost stays O(subjobs +
-// dependency edges) plus the curve work itself.
+// canonical curves; see sched.Memo). after, when non-nil, is called with
+// each subjob right after its rows are final, on the worker that computed
+// them.
 //
 // Fault containment: every evaluation runs under a fault.Tag carrying the
-// subjob's coordinates, so a panic (invariant violation or budget trip)
-// surfaces with its analysis context; cancellation is observed by
-// par.Run between items and returns wrapping ctx.Err() after the
-// in-flight evaluations drain.
-func (st *state) run(ctx context.Context, workers int) error {
-	if _, acyclic := st.topo.Levels(); !acyclic {
-		return ErrCyclic
-	}
+// subjob's coordinates; cancellation is observed by par between items and
+// returns wrapping ctx.Err() after the in-flight evaluations drain; a
+// breakpoint-budget trip returns the partial result, Method
+// "App(budget)", with an error wrapping ErrBudgetExceeded.
+func (st *state) sweep(ctx context.Context, ids []int, opts Options, after func(model.SubjobRef)) (*Result, error) {
 	refs := st.topo.Subjobs()
-	err := par.Run(ctx, len(refs), st.topo.Deps, st.topo.Dependents, workers, func(id int) {
+	st.lim = opts.limiter()
+	st.arrState = make([]uint32, len(refs))
+	st.resolveMu = make([]sync.Mutex, len(refs))
+	if ids != nil {
+		for id := range st.arrState {
+			st.arrState[id] = 1
+		}
+		for _, id := range ids {
+			r := refs[id]
+			st.arrState[id] = 0
+			st.hops[r.Job][r.Hop] = Hop{}
+			st.demandLo[id], st.demandHi[id] = nil, nil
+		}
+	}
+	step := func(id int) {
 		r := refs[id]
 		fault.Tag(r.Job, r.Hop, st.sys.Subjob(r).Proc, func() { st.computeSubjob(r) })
-	})
-	if err != nil {
-		return fmt.Errorf("analysis: %w", err)
+		if after != nil {
+			after(r)
+		}
 	}
-	return nil
+	var err error
+	be := curve.CatchBudget(func() {
+		if ids == nil {
+			err = par.Run(ctx, len(refs), st.topo.Deps, st.topo.Dependents, opts.workers(), step)
+		} else {
+			err = par.RunSubset(ctx, ids, st.topo.Deps, st.topo.Dependents, opts.workers(), step)
+		}
+	})
+	if be != nil {
+		// Jobs with an uncomputed hop report curve.Inf (see result), the
+		// rest keep the bounds already derived.
+		res := st.result()
+		res.Method = "App(budget)"
+		return res, fmt.Errorf("analysis: %w", be)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
+	return st.result(), nil
 }
 
 // finiteTimes drops Inf sentinels from a latest-arrival time vector:
@@ -464,8 +465,8 @@ func (st *state) computeSubjob(r model.SubjobRef) {
 	sys, topo := st.sys, st.topo
 	sj := sys.Subjob(r)
 	hop := &st.hops[r.Job][r.Hop]
-	// Pull this hop's arrivals from its precedence predecessors (no-op
-	// for sources and hops a co-located reader already resolved).
+	// Resolve this hop's arrivals (no-op for hops a co-located reader
+	// already resolved).
 	st.ensureArrivals(r)
 	// Per-evaluation arena: every curve intermediate below is carved from
 	// sc and recycled wholesale; only the stored artifacts (service

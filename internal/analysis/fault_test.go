@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -97,40 +98,77 @@ func checkBudgetPartial(t *testing.T, label string, full, part *Result) {
 	}
 }
 
-// TestBreakpointBudgetPartialApproximate: sweeping the breakpoint ceiling
-// from starvation to abundance, a budgeted approximate run either fails
-// cleanly, returns a flagged partial result whose finite bounds equal the
-// converged ones, or completes identically to the unbudgeted run.
-func TestBreakpointBudgetPartialApproximate(t *testing.T) {
-	sys := faultSystem(90)
-	full, err := ApproximateOpts(sys, Options{})
+// requireBudgetPartials sweeps run's breakpoint ceiling from starvation
+// to abundance: each budgeted run either fails cleanly, returns a partial
+// result flagged with method whose finite bounds equal the converged ones
+// (run with no ceiling), or completes identically to the unbudgeted run.
+func requireBudgetPartials(t *testing.T, label, method string, run func(breakpoints int64) (*Result, error)) {
+	t.Helper()
+	full, err := run(0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", label, err)
 	}
 	sawPartial := false
 	for b := int64(1); ; b *= 2 {
-		res, err := ApproximateOpts(sys, Options{Budget: Budget{Breakpoints: b}})
+		res, err := run(b)
 		if err == nil {
-			requireSameResult(t, "converged under budget", full, res)
+			requireSameResult(t, label+" converged under budget", full, res)
 			break
 		}
 		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("budget %d: err = %v, want ErrBudgetExceeded", b, err)
+			t.Fatalf("%s budget %d: err = %v, want ErrBudgetExceeded", label, b, err)
 		}
 		if res == nil {
 			continue // tripped before any hop was computed
 		}
-		if res.Method != "App(budget)" {
-			t.Fatalf("budget %d: Method = %q", b, res.Method)
+		if res.Method != method {
+			t.Fatalf("%s budget %d: Method = %q, want %q", label, b, res.Method, method)
 		}
 		sawPartial = true
-		checkBudgetPartial(t, "App", full, res)
+		checkBudgetPartial(t, fmt.Sprintf("%s budget %d", label, b), full, res)
 		if b > 1<<40 {
-			t.Fatal("budget never sufficed")
+			t.Fatalf("%s: budget never sufficed", label)
 		}
 	}
 	if !sawPartial {
-		t.Error("no budget produced a partial result; the sweep never exercised the partial path")
+		t.Errorf("%s: no budget produced a partial result; the sweep never exercised the partial path", label)
+	}
+}
+
+// warmBudgetRun converges a session over a churn system unbudgeted, then
+// admits a top-priority newcomer with triple execution times and
+// converges that delta under the breakpoint ceiling. The newcomer raises
+// the bounds of every job below it, so a partial delta that reported a
+// cone hop's resident (pre-admission) rows as computed would show
+// finite bounds below the converged ones.
+func warmBudgetRun(t *testing.T, sc model.Scheduler) func(breakpoints int64) (*Result, error) {
+	base := churnSystem(sc, 20, 4, 8, 4)
+	newcomer := cloneJob(base.Jobs[0])
+	newcomer.Name = "newcomer"
+	for j := range newcomer.Subjobs {
+		newcomer.Subjobs[j].Exec *= 3
+		newcomer.Subjobs[j].Priority = -1
+	}
+	return func(breakpoints int64) (*Result, error) {
+		s, err := NewSession(base, SessionConfig{})
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		s.SetOptions(Options{Budget: Budget{Breakpoints: breakpoints}})
+		s.Admit(newcomer)
+		return s.Converge()
+	}
+}
+
+// TestBreakpointBudgetPartialApproximate: the budget sweep over the
+// approximate engine, cold and as a warm session delta.
+func TestBreakpointBudgetPartialApproximate(t *testing.T) {
+	sys := faultSystem(90)
+	requireBudgetPartials(t, "cold", "App(budget)", func(b int64) (*Result, error) {
+		return ApproximateOpts(sys, Options{Budget: Budget{Breakpoints: b}})
+	})
+	for _, sc := range []model.Scheduler{model.SPNP, model.FCFS} {
+		requireBudgetPartials(t, fmt.Sprintf("warm %v", sc), "App(budget)", warmBudgetRun(t, sc))
 	}
 }
 
@@ -138,39 +176,10 @@ func TestBreakpointBudgetPartialApproximate(t *testing.T) {
 // engine.
 func TestBreakpointBudgetPartialExact(t *testing.T) {
 	sys := faultSystem(91, model.SPP)
-	full, err := ExactOpts(sys, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawPartial := false
-	for b := int64(1); ; b *= 2 {
-		res, err := ExactOpts(sys, Options{Budget: Budget{Breakpoints: b}})
-		if err == nil {
-			requireSameResult(t, "exact under budget", full, res)
-			break
-		}
-		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("budget %d: err = %v, want ErrBudgetExceeded", b, err)
-		}
-		if res == nil {
-			continue
-		}
-		if res.Method != "SPP/Exact(budget)" {
-			t.Fatalf("budget %d: Method = %q", b, res.Method)
-		}
-		sawPartial = true
-		for k := range full.WCRT {
-			if !curve.IsInf(res.WCRT[k]) && res.WCRT[k] != full.WCRT[k] {
-				t.Fatalf("budget %d: job %d partial %d != exact %d", b, k, res.WCRT[k], full.WCRT[k])
-			}
-		}
-		if b > 1<<40 {
-			t.Fatal("budget never sufficed")
-		}
-	}
-	if !sawPartial {
-		t.Error("no budget produced a partial exact result")
-	}
+	requireBudgetPartials(t, "cold", "SPP/Exact(budget)", func(b int64) (*Result, error) {
+		return ExactOpts(sys, Options{Budget: Budget{Breakpoints: b}})
+	})
+	requireBudgetPartials(t, "warm SPP", "SPP/Exact(budget)", warmBudgetRun(t, model.SPP))
 }
 
 // TestStepBudgetIterative: the fixed-point step ceiling stops the

@@ -69,13 +69,7 @@ func IterativeOpts(sys *model.System, maxRounds int, opts Options) (res *Result,
 		maxRounds = 64
 	}
 	ctx := opts.ctx()
-	var st *state
-	if be := catchBudget(func() { st = newState(sys, opts.limiter()) }); be != nil {
-		// Tripped while building the first-hop demand staircases: nothing
-		// was computed, no partial result to salvage.
-		return nil, fmt.Errorf("analysis: %w", be)
-	}
-	st.pinIterativeStart()
+	st := newIterState(sys, opts.limiter())
 	refs := st.topo.Subjobs()
 	n := len(refs)
 	order := st.sweepOrder()
@@ -97,8 +91,8 @@ func IterativeOpts(sys *model.System, maxRounds int, opts Options) (res *Result,
 	converged := false
 	// Budget bookkeeping: steps counts subjob evaluations against
 	// Budget.FixedPointSteps; a breakpoint-budget trip inside an
-	// evaluation is recovered here (catchBudget), where the partial bound
-	// vector is still available. Either ceiling stops the sweep with
+	// evaluation is recovered here (curve.CatchBudget), where the partial
+	// bound vector is still available. Either ceiling stops the sweep with
 	// lastRound/bailID recording where, so the divergence-localization
 	// logic below can mark exactly the jobs whose bounds are uncertified.
 	maxSteps := opts.Budget.FixedPointSteps
@@ -126,7 +120,7 @@ sweep:
 			dirty[id] = false
 			r := refs[id]
 			var svcCh, depCh, arrCh, ch bool
-			be := catchBudget(func() {
+			be := curve.CatchBudget(func() {
 				fault.Tag(r.Job, r.Hop, sys.Subjob(r).Proc, func() {
 					svcCh, depCh, arrCh, ch = st.iterateSubjob(r)
 				})
@@ -190,20 +184,29 @@ sweep:
 	return res, errors.New("analysis: iteration did not converge; affected jobs reported unschedulable")
 }
 
-// pinIterativeStart re-seeds a fresh state for the Kleene iteration:
-// sound early bounds (release plus the longest execution-plus-delay path
-// from any source, the chain's cumulative prefix generalized over the
-// precedence DAG; DepEarly of a hop feeds the pinned ArrEarly of its
-// successors, all pinned for the whole iteration) and late arrivals
-// started equal to the early ones. The demand caches published by
-// newState assumed the Approximate arrival bounds; non-source hops were
-// just re-pinned, so every cache except the (release-trace, hence final)
-// source hops is dropped and iterDemand* rebuilds them version-checked.
-// Arrivals are managed per round here, so the acyclic engine's one-shot
-// resolution state is disarmed.
-func (st *state) pinIterativeStart() {
-	sys := st.sys
-	st.arrState, st.resolveMu = nil, nil
+// iterState is the iterative engine's working state: the per-subjob rows
+// it shares with the acyclic engine, plus the versions of the late
+// arrivals it re-merges across rounds.
+type iterState struct {
+	*state
+	// arrVer counts the ArrLate merges of each subjob and demandLoVer the
+	// version a cached demandLo was built at, so a staircase is rebuilt
+	// only when its arrivals moved.
+	arrVer, demandLoVer []uint64
+}
+
+// newIterState seeds a fresh state for the Kleene iteration: source hops
+// take the release trace, every hop gets sound early bounds (release plus
+// the longest execution-plus-delay path from any source, the chain's
+// cumulative prefix generalized over the precedence DAG; DepEarly of a
+// hop feeds the pinned ArrEarly of its successors, all pinned for the
+// whole iteration), and late arrivals start equal to the early ones. The
+// demand staircases are built on first use and version-checked
+// (iterDemandLo/iterDemandHi).
+func newIterState(sys *model.System, lim *curve.Limiter) *iterState {
+	n := len(sys.Topology().Subjobs())
+	st := &iterState{state: newState(sys), arrVer: make([]uint64, n), demandLoVer: make([]uint64, n)}
+	st.lim = lim
 	var scratch [1]int
 	for k := range sys.Jobs {
 		job := &sys.Jobs[k]
@@ -222,6 +225,9 @@ func (st *state) pinIterativeStart() {
 				}
 				st.hops[k][j].ArrEarly = early
 				st.hops[k][j].ArrLate = append([]model.Ticks(nil), early...)
+			} else {
+				rel := append([]model.Ticks(nil), job.Releases...)
+				st.hops[k][j].ArrEarly, st.hops[k][j].ArrLate = rel, rel
 			}
 			dep := make([]model.Ticks, len(job.Releases))
 			for i, t := range job.Releases {
@@ -230,11 +236,7 @@ func (st *state) pinIterativeStart() {
 			st.hops[k][j].DepEarly = dep
 		}
 	}
-	for id := range st.topo.Subjobs() {
-		if len(st.topo.JobPreds(id)) > 0 {
-			st.demandLo[id], st.demandHi[id] = nil, nil
-		}
-	}
+	return st
 }
 
 // sweepOrder returns the Gauss-Seidel round order: the dependency levels
@@ -324,7 +326,7 @@ func (st *state) dirtyDemandReaders(id int, dirty []bool) {
 // iterDemandLo returns the workload staircase built from subjob id's late
 // arrivals, rebuilding only when the arrivals moved since the cached
 // build (version counter bumped by the ArrLate merges).
-func (st *state) iterDemandLo(id int, r model.SubjobRef) *curve.Curve {
+func (st *iterState) iterDemandLo(id int, r model.SubjobRef) *curve.Curve {
 	if st.demandLo[id] == nil || st.demandLoVer[id] != st.arrVer[id] {
 		hop := &st.hops[r.Job][r.Hop]
 		st.demandLo[id] = curve.Staircase(finiteTimes(hop.ArrLate), st.sys.Subjob(r).Exec)
@@ -337,7 +339,7 @@ func (st *state) iterDemandLo(id int, r model.SubjobRef) *curve.Curve {
 // iterDemandHi returns the workload staircase built from subjob id's
 // early arrivals; those are pinned for the whole iteration, so it is
 // built at most once.
-func (st *state) iterDemandHi(id int, r model.SubjobRef) *curve.Curve {
+func (st *iterState) iterDemandHi(id int, r model.SubjobRef) *curve.Curve {
 	if st.demandHi[id] == nil {
 		hop := &st.hops[r.Job][r.Hop]
 		st.demandHi[id] = curve.Staircase(hop.ArrEarly, st.sys.Subjob(r).Exec)
@@ -352,7 +354,7 @@ func (st *state) iterDemandHi(id int, r model.SubjobRef) *curve.Curve {
 // precedence successors must re-pull), whether its own late arrivals
 // moved (its demand readers must re-fold), and whether anything at all
 // changed.
-func (st *state) iterateSubjob(r model.SubjobRef) (svcChanged, depChanged, arrChanged, changed bool) {
+func (st *iterState) iterateSubjob(r model.SubjobRef) (svcChanged, depChanged, arrChanged, changed bool) {
 	sys, topo := st.sys, st.topo
 	sj := sys.Subjob(r)
 	hop := &st.hops[r.Job][r.Hop]

@@ -9,7 +9,7 @@
 // under Topology.Dependents, so every subjob outside it has transitively
 // unchanged inputs and its resident rows already hold the cold values,
 // while everything inside is recomputed from final inputs by the same
-// par-driven sweep the cold engines use.
+// sweep a cold analysis runs over every subjob.
 package analysis
 
 import (
@@ -24,32 +24,15 @@ import (
 	"rta/internal/spp"
 )
 
-// Engine selects the converge engine of a Session.
-type Engine int
-
-const (
-	// EngineAuto mirrors AnalyzeOpts: exact when every processor's policy
-	// is exact-capable and no resources are declared, Theorem 4 otherwise;
-	// cyclic systems fail with ErrCyclic.
-	EngineAuto Engine = iota
-	// EngineIterative always runs the Gauss-Seidel fixed point
-	// (IterativeOpts). The iterative engine mutates its working state in
-	// place, so sessions on this engine converge cold every time — staging
-	// and rollback still apply, warm deltas do not.
-	EngineIterative
-)
-
-// SessionConfig parameterizes a Session.
+// SessionConfig parameterizes a Session. A session converges like
+// AnalyzeOpts: exact when every processor's policy is exact-capable and no
+// resources are declared, Theorem 4 otherwise; cyclic systems fail with
+// ErrCyclic.
 type SessionConfig struct {
 	// Opts are the execution options of every converge (workers, context,
 	// budget). The session guarantees identical results for every worker
 	// count.
 	Opts Options
-	// Engine selects the converge engine; EngineAuto by default.
-	Engine Engine
-	// MaxRounds bounds the iterative fixed point (EngineIterative only);
-	// zero selects the IterativeOpts default.
-	MaxRounds int
 }
 
 // ErrNotConverged is returned by Result when the committed state holds
@@ -64,7 +47,6 @@ const (
 	modeEmpty
 	modeExact
 	modeApprox
-	modeIterative
 )
 
 // resident is one self-consistent snapshot of a session: the system, its
@@ -78,8 +60,7 @@ type resident struct {
 	topo *model.Topology
 	mode sessionMode
 	// warm reports whether st/ex below hold a converged fixed point that
-	// delta re-analysis may extend. Cleared on engine errors and by the
-	// iterative engine (which converges cold by design).
+	// delta re-analysis may extend. Cleared on engine errors.
 	warm bool
 	// needs reports whether res is stale w.r.t. sys.
 	needs bool
@@ -119,13 +100,10 @@ type Session struct {
 	// stats counts how the converges ran (see Stats).
 	stats SessionStats
 
-	// Delta bookkeeping for the staged changes, in cur.topo numbering:
-	// seeds are the subjob ids whose inputs changed (the dirty cone grows
-	// from their dependents-closure), resetArr the source-hop ids whose
-	// resident arrival rows must be re-pinned from the release trace, and
-	// republish the ids whose demand staircases must be rebuilt before the
-	// sweep (approximate engine only).
-	seeds, resetArr, republish map[int]struct{}
+	// seeds are the subjob ids, in cur.topo numbering, whose inputs the
+	// staged changes altered: the dirty cone grows from their
+	// dependents-closure.
+	seeds map[int]struct{}
 }
 
 // SessionStats counts how a session's converges ran: whether the warm
@@ -136,9 +114,9 @@ type SessionStats struct {
 	// over the resident fixed point, early-rejected ones included.
 	DeltaConverges int64
 	// ColdConverges counts converges that analyzed the whole working
-	// system from scratch (the first converge, the iterative engine, and
-	// every converge after an error, an early reject or an unconverged
-	// commit dropped the warm state).
+	// system from scratch (the first converge, and every converge after an
+	// engine switch, an error, an early reject or an unconverged commit
+	// dropped the warm state).
 	ColdConverges int64
 	// EarlyRejects counts Schedulable calls that stopped at the first
 	// proven deadline miss.
@@ -180,11 +158,7 @@ func identityMap(n int) []int {
 	return m
 }
 
-func (s *Session) clearDelta() {
-	s.seeds = make(map[int]struct{})
-	s.resetArr = make(map[int]struct{})
-	s.republish = make(map[int]struct{})
-}
+func (s *Session) clearDelta() { s.seeds = make(map[int]struct{}) }
 
 // beginStage makes cur a private working copy of base on the first staged
 // change after a commit or rollback. The resident analysis arrays are
@@ -216,22 +190,16 @@ func (s *Session) beginStage() {
 // sessionClone returns a copy-on-write clone of an approximate state: the
 // outer spines are fresh (so growing/cutting jobs never disturbs the
 // original), the per-job rows and cached curves are shared until a delta
-// converge re-copies the rows it rewrites. Version counters restart at
-// zero — only the iterative engine consumes them, and it never runs warm.
-// The lazy-resolution guards (arrState, resolveMu) stay nil: deltaApprox
-// rebuilds them per converge, sized to the then-current topology, marking
-// exactly the dirty non-source hops unresolved.
+// converge re-copies the rows it rewrites. The lazy-resolution guards
+// (arrState, resolveMu) stay nil: every sweep builds its own.
 func (st *state) sessionClone() *state {
 	out := &state{
-		sys:         st.sys,
-		topo:        st.topo,
-		hops:        append([][]Hop(nil), st.hops...),
-		demandLo:    append([]*curve.Curve(nil), st.demandLo...),
-		demandHi:    append([]*curve.Curve(nil), st.demandHi...),
-		arrVer:      make([]uint64, len(st.arrVer)),
-		demandLoVer: make([]uint64, len(st.demandLoVer)),
-		memo:        st.memo,
-		lim:         st.lim,
+		sys:      st.sys,
+		topo:     st.topo,
+		hops:     append([][]Hop(nil), st.hops...),
+		demandLo: append([]*curve.Curve(nil), st.demandLo...),
+		demandHi: append([]*curve.Curve(nil), st.demandHi...),
+		memo:     st.memo,
 	}
 	out.initFns()
 	return out
@@ -292,18 +260,6 @@ func (s *Session) seedReaders(topo *model.Topology, id int, remap []int) {
 	}
 }
 
-// seedSourceResets marks every source hop of job k (hop 0 for chain
-// jobs) for the arrival re-pin + demand republish prologue (the release
-// trace or the rows' identity changed).
-func (s *Session) seedSourceResets(topo *model.Topology, k int) {
-	for _, j := range topo.Sources(k) {
-		id := topo.ID(model.SubjobRef{Job: k, Hop: j})
-		s.seed(id)
-		s.resetArr[id] = struct{}{}
-		s.republish[id] = struct{}{}
-	}
-}
-
 // ValidateJob checks a candidate job against the working system without
 // staging anything. Callers admitting untrusted jobs must check this
 // before Admit: Admit itself assumes a structurally valid job (an
@@ -334,8 +290,6 @@ func (s *Session) Admit(job model.Job) {
 			st.hops = append(st.hops, make([]Hop, nh))
 			st.demandLo = append(st.demandLo, make([]*curve.Curve, nh)...)
 			st.demandHi = append(st.demandHi, make([]*curve.Curve, nh)...)
-			st.arrVer = append(st.arrVer, make([]uint64, nh)...)
-			st.demandLoVer = append(st.demandLoVer, make([]uint64, nh)...)
 		case modeExact:
 			ex := s.cur.ex
 			ex.WCRT = append(ex.WCRT, 0)
@@ -348,7 +302,6 @@ func (s *Session) Admit(job model.Job) {
 			s.seed(id)
 			s.seedReaders(newTopo, id, nil)
 		}
-		s.seedSourceResets(newTopo, k)
 	}
 	s.cur.topo = newTopo
 	s.cur.needs = true
@@ -360,6 +313,25 @@ func (s *Session) Admit(job model.Job) {
 func (s *Session) Remove(k int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.removeLocked(k)
+}
+
+// RemoveNamed stages the removal of the job with the given name and
+// reports whether it was present. The lookup and the removal hold the
+// lock together, so a concurrent removal cannot shift the index between
+// them.
+func (s *Session) RemoveNamed(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.cur.sys.Jobs {
+		if s.cur.sys.Jobs[k].Name == name {
+			return s.removeLocked(k) == nil
+		}
+	}
+	return false
+}
+
+func (s *Session) removeLocked(k int) error {
 	s.beginStage()
 	sys := s.cur.sys
 	if k < 0 || k >= len(sys.Jobs) {
@@ -397,11 +369,9 @@ func (s *Session) Remove(k int) error {
 			return -1
 		}
 	}
-	// Translate the existing delta bookkeeping and the new seeds into the
-	// new numbering.
+	// Translate the existing seeds and the new ones into the new
+	// numbering.
 	s.seeds = remapSet(s.seeds, remap)
-	s.resetArr = remapSet(s.resetArr, remap)
-	s.republish = remapSet(s.republish, remap)
 	for _, id := range oldSeeds {
 		if nid := remap(id); nid >= 0 {
 			s.seed(nid)
@@ -422,8 +392,6 @@ func (s *Session) Remove(k int) error {
 			st.hops = cutRow(st.hops, k)
 			st.demandLo = cutRange(st.demandLo, lo, hi)
 			st.demandHi = cutRange(st.demandHi, lo, hi)
-			st.arrVer = cutRange(st.arrVer, lo, hi)
-			st.demandLoVer = cutRange(st.demandLoVer, lo, hi)
 		case modeExact:
 			ex := s.cur.ex
 			ex.WCRT = cutRow(ex.WCRT, k)
@@ -436,24 +404,6 @@ func (s *Session) Remove(k int) error {
 	s.cur.topo = newTopo
 	s.cur.needs = true
 	return nil
-}
-
-// RemoveNamed stages the removal of the job with the given name and
-// reports whether it was present.
-func (s *Session) RemoveNamed(name string) bool {
-	s.mu.Lock()
-	k := -1
-	for i := range s.cur.sys.Jobs {
-		if s.cur.sys.Jobs[i].Name == name {
-			k = i
-			break
-		}
-	}
-	s.mu.Unlock()
-	if k < 0 {
-		return false
-	}
-	return s.Remove(k) == nil
 }
 
 // cutRow returns a fresh slice with element k removed (never mutating the
@@ -554,14 +504,13 @@ func (s *Session) seedMutation(pre *model.System, oldTopo, newTopo *model.Topolo
 				s.seedReaders(oldTopo, id, nil)
 				s.seedReaders(newTopo, id, nil)
 			}
-			if osj.Exec != nsj.Exec {
-				s.republish[id] = struct{}{}
-			}
 		}
 		if relChanged {
-			s.seedSourceResets(newTopo, k)
+			// The source hops take the new release trace; their demand
+			// readers have no dependency edge into them, so seed those too.
 			for _, j := range newTopo.Sources(k) {
 				id := newTopo.ID(model.SubjobRef{Job: k, Hop: j})
+				s.seed(id)
 				s.seedReaders(oldTopo, id, nil)
 				s.seedReaders(newTopo, id, nil)
 			}
@@ -570,15 +519,13 @@ func (s *Session) seedMutation(pre *model.System, oldTopo, newTopo *model.Topolo
 			// The precedence DAG changed: arrival joins, the source set and
 			// the dependency edges all move, so dirty the whole job, its
 			// policy readers under both topologies (FCFS demand edges follow
-			// the old and the new predecessor lists), and re-pin the new
-			// sources from the release trace.
+			// the old and the new predecessor lists).
 			for j := range nj.Subjobs {
 				id := newTopo.ID(model.SubjobRef{Job: k, Hop: j})
 				s.seed(id)
 				s.seedReaders(oldTopo, id, nil)
 				s.seedReaders(newTopo, id, nil)
 			}
-			s.seedSourceResets(newTopo, k)
 		}
 		if syncChanged || (relChanged && (oj.Sync != model.DirectSync || nj.Sync != model.DirectSync)) {
 			// JoinReleases consults the release trace (and the sync knobs)

@@ -1,35 +1,35 @@
 package analysis
 
-// The converge engines of a Session. convergeFull mirrors the cold entry
-// points (ExactOpts / ApproximateOpts / IterativeOpts) field for field;
-// convergeDelta re-runs only the dependents-closure of the staged
-// changes' seeds over the resident fixed point.
+// The converge of a Session. Each acyclic engine has one sweep over a
+// resident and a set of subjob ids (state.sweep, sweepExact): a cold
+// converge sweeps a fresh resident over every subjob, exactly as the cold
+// entry points do, and a warm delta sweeps the resident fixed point over
+// the dependents-closure of the staged changes' seeds.
 //
 // Why the delta is bit-identical to cold analysis: the dirty set is
 // closed under Topology.Dependents, so every subjob OUTSIDE it has no
 // (transitive) input that changed — its resident rows already equal what
-// a cold run would compute. Every subjob INSIDE it is recomputed, in
-// dependency order over the induced subgraph (par.RunSubset), from inputs
-// that are either final resident rows or final recomputed rows — the same
-// inputs the cold sweep would see — by the same per-subjob routine. The
-// memoized cross-subjob intermediates regroup exact integer sums over
-// unique canonical curves (see sched.Memo), so sharing a still-valid
-// memo prefix across converges changes nothing either. Results are
-// field-identical at every worker count for the same reason the cold
-// engines are: the sweep schedule is unobservable.
+// a cold run would compute. Every subjob INSIDE it is cleared and
+// recomputed, in dependency order over the induced subgraph
+// (par.RunSubset), from inputs that are either final resident rows or
+// final recomputed rows — the same inputs the cold sweep would see — by
+// the same per-subjob routine. The memoized cross-subjob intermediates
+// regroup exact integer sums over unique canonical curves (see
+// sched.Memo), so sharing a still-valid memo prefix across converges
+// changes nothing either. Results are field-identical at every worker
+// count for the same reason the cold engines' are: the sweep schedule is
+// unobservable.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"rta/internal/curve"
 	"rta/internal/fault"
 	"rta/internal/model"
-	"rta/internal/par"
 	"rta/internal/sched"
 	"rta/internal/spp"
 )
@@ -49,8 +49,10 @@ func (s *Session) afterConverge() {
 	s.clearDelta()
 }
 
-// convergeLocked converges the working system; verdict selects the
-// verdict-only converge of Schedulable, which may stop at the first proven
+// convergeLocked converges the working system: a delta over the resident
+// fixed point while the session is warm and the engine unchanged, else a
+// cold sweep of a fresh resident. verdict selects the verdict-only
+// converge of Schedulable, whose delta may stop at the first proven
 // deadline miss with errDeadlineMiss.
 func (s *Session) convergeLocked(verdict bool) (res *Result, err error) {
 	defer func() {
@@ -74,119 +76,80 @@ func (s *Session) convergeLocked(verdict bool) (res *Result, err error) {
 		s.afterConverge()
 		return s.cur.res, nil
 	}
-	if err := s.cur.sys.Validate(); err != nil {
+	sys := s.cur.sys
+	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
 	mode := modeApprox
-	switch {
-	case s.cfg.Engine == EngineIterative:
-		mode = modeIterative
-	case sched.ExactAll(s.cur.sys) && !s.cur.sys.HasResources():
+	if sched.ExactAll(sys) && !sys.HasResources() {
 		mode = modeExact
 	}
-	if s.cur.warm && mode == s.cur.mode {
-		if _, acyclic := s.cur.topo.Levels(); acyclic {
-			return s.convergeDelta(mode, verdict)
-		}
-		// A staged change introduced a cycle; fall through to the cold
-		// path, which reports ErrCyclic exactly as AnalyzeOpts does.
+	ctx := s.cfg.Opts.ctx()
+	var (
+		ids   []int // nil: every subjob
+		miss  *earlyReject
+		after func(model.SubjobRef)
+	)
+	delta := s.cur.warm && mode == s.cur.mode
+	if delta {
+		_, delta = s.cur.topo.Levels() // a staged cycle converges cold
 	}
-	return s.convergeFull(mode)
-}
-
-// convergeFull analyzes the working system from scratch, mirroring the
-// cold entry points, and makes the session warm (acyclic engines only).
-func (s *Session) convergeFull(mode sessionMode) (*Result, error) {
-	s.stats.ColdConverges++
-	s.cur.warm = false
-	s.cur.st, s.cur.ex, s.cur.exMemo, s.cur.res = nil, nil, nil, nil
-	s.cur.mode = mode
-	s.cur.topo = s.cur.sys.Topology()
-	sys, topo := s.cur.sys, s.cur.topo
-	opts := s.cfg.Opts
-
-	switch mode {
-	case modeIterative:
-		// The iterative engine mutates its working bounds in place, which
-		// copy-on-write residency cannot tolerate; it always runs cold.
-		res, err := IterativeOpts(sys, s.cfg.MaxRounds, opts)
-		if err != nil {
-			s.cur.res = res // partial (budget/diverged) or nil
-			return res, err
+	if delta {
+		var inDirty []bool
+		ids, inDirty = s.prepareDelta()
+		if verdict {
+			miss = newEarlyReject(ctx, sys)
+			ctx = miss.ctx
+			defer miss.cancel()
+			if mode == modeExact {
+				ex := s.cur.ex
+				after = func(r model.SubjobRef) { miss.exactHop(ex, r) }
+			} else {
+				st := s.cur.st
+				miss.seedPaths(st, ids, inDirty)
+				after = func(r model.SubjobRef) { miss.approxHop(st, r) }
+			}
 		}
-		s.cur.res = res
-		s.cur.needs = false
-		s.afterConverge()
-		return res, nil
-
-	case modeExact:
-		if _, acyclic := topo.Levels(); !acyclic {
+	} else {
+		// Cold: a fresh resident, swept over every subjob. A cyclic system
+		// fails with ErrCyclic exactly as AnalyzeOpts does.
+		s.stats.ColdConverges++
+		s.cur.warm = false
+		s.cur.st, s.cur.ex, s.cur.exMemo, s.cur.res = nil, nil, nil, nil
+		s.cur.mode = mode
+		s.cur.topo = sys.Topology()
+		if _, acyclic := s.cur.topo.Levels(); !acyclic {
 			return nil, ErrCyclic
 		}
-		memo := sched.NewMemo(topo)
-		ex := spp.NewResult(sys)
-		all := make([]int, len(topo.Subjobs()))
-		for i := range all {
-			all[i] = i
+		if mode == modeExact {
+			s.cur.ex, s.cur.exMemo = spp.NewResult(sys), sched.NewMemo(s.cur.topo)
+		} else {
+			s.cur.st = newState(sys)
 		}
-		err := spp.Reanalyze(opts.ctx(), sys, memo, ex, all, opts.workers(), opts.limiter(), nil)
-		res := assembleExact(ex)
-		if err != nil {
-			if errors.Is(err, ErrBudgetExceeded) {
-				res.Method = "SPP/Exact(budget)"
-				s.cur.res = res
-				return res, err
-			}
-			return nil, err
-		}
-		s.cur.ex, s.cur.exMemo, s.cur.res = ex, memo, res
-		s.cur.needs = false
-		s.cur.warm = true
-		s.afterConverge()
-		return res, nil
-
-	default: // modeApprox
-		var (
-			st     *state
-			runErr error
-		)
-		be := catchBudget(func() {
-			st = newState(sys, opts.limiter())
-			runErr = st.run(opts.ctx(), opts.workers())
-		})
-		if be != nil {
-			res := st.result()
-			res.Method = "App(budget)"
-			s.cur.st, s.cur.res = st, res
-			return res, fmt.Errorf("analysis: %w", be)
-		}
-		if runErr != nil {
-			return nil, runErr
-		}
-		res := st.result()
-		s.cur.st, s.cur.res = st, res
-		s.cur.needs = false
-		s.cur.warm = true
-		s.afterConverge()
-		return res, nil
 	}
+	if mode == modeExact {
+		res, err = sweepExact(ctx, sys, s.cur.exMemo, s.cur.ex, ids, s.cfg.Opts, after)
+	} else {
+		res, err = s.cur.st.sweep(ctx, ids, s.cfg.Opts, after)
+	}
+	if miss != nil && miss.proven.Load() {
+		s.cur.res = nil
+		return nil, errDeadlineMiss
+	}
+	s.cur.res = res // partial on a budget trip, nil on any other error
+	if err != nil {
+		return res, err
+	}
+	s.cur.needs = false
+	s.cur.warm = true
+	s.afterConverge()
+	return res, nil
 }
 
-// assembleExact wraps an exact result the way ExactOpts does.
-func assembleExact(ex *spp.Result) *Result {
-	return &Result{
-		Method:  "SPP/Exact",
-		WCRT:    append([]model.Ticks(nil), ex.WCRT...),
-		WCRTSum: append([]model.Ticks(nil), ex.WCRT...),
-		Exact:   ex,
-	}
-}
-
-// convergeDelta re-converges the dependency cone of the staged changes
-// over the resident fixed point. With verdict set it stops at the first
-// proven deadline miss and returns errDeadlineMiss, leaving the stage
-// unconverged (the caller's error path drops the warm state).
-func (s *Session) convergeDelta(mode sessionMode, verdict bool) (*Result, error) {
+// prepareDelta turns the staged seeds into the dirty cone a delta
+// converge sweeps — ids in dispatch order, plus a membership vector — and
+// makes the resident rows the cone rewrites private to cur.
+func (s *Session) prepareDelta() (ids []int, inDirty []bool) {
 	sys, topo := s.cur.sys, s.cur.topo
 	anchor := &s.prev
 
@@ -231,7 +194,7 @@ func (s *Session) convergeDelta(mode sessionMode, verdict bool) (*Result, error)
 
 	// Dirty cone: the dependents-closure of the seeds.
 	n := len(topo.Subjobs())
-	inDirty := make([]bool, n)
+	inDirty = make([]bool, n)
 	queue := make([]int, 0, len(s.seeds))
 	for id := range s.seeds {
 		if !inDirty[id] {
@@ -251,7 +214,8 @@ func (s *Session) convergeDelta(mode sessionMode, verdict bool) (*Result, error)
 	// Dispatch preference: the hops of jobs admitted this stage first, so
 	// the sweep reaches the newcomer's own verdict as soon as its
 	// dependencies allow (the schedule is unobservable in the results).
-	ids := make([]int, 0, len(queue))
+	// Non-nil even when empty: nil would mean every subjob.
+	ids = make([]int, 0, len(queue))
 	for _, admitted := range []bool{true, false} {
 		for _, id := range queue {
 			if (rev[topo.Subjobs()[id].Job] < 0) == admitted {
@@ -288,42 +252,30 @@ func (s *Session) convergeDelta(mode sessionMode, verdict bool) (*Result, error)
 		keepFCFS[p] = ok
 	}
 
-	resetArr := setToSorted(s.resetArr)
-	ctx := s.cfg.Opts.ctx()
-	var miss *earlyReject
-	if verdict {
-		miss = newEarlyReject(ctx, sys)
-		ctx = miss.ctx
-		defer miss.cancel()
-	}
-	var err error
-	if mode == modeExact {
-		err = s.deltaExact(ctx, ids, resetArr, keepPrefix, keepFCFS, miss)
-	} else {
-		if miss != nil {
-			miss.seedPaths(s.cur.st, topo, ids, inDirty)
+	// Copy-on-write: previously returned Results alias the resident
+	// arrays, so the outer spines and the rows of every affected job are
+	// re-cloned before the sweep writes anything.
+	affected := affectedJobs(topo, ids)
+	if s.cur.mode == modeExact {
+		ex := cloneExactOuter(s.cur.ex)
+		for k := range affected {
+			ex.Arrival[k] = append([][]model.Ticks(nil), ex.Arrival[k]...)
+			ex.Departure[k] = append([][]model.Ticks(nil), ex.Departure[k]...)
+			ex.Service[k] = append([]*curve.Curve(nil), ex.Service[k]...)
+			ex.Backlog[k] = append([]int(nil), ex.Backlog[k]...)
 		}
-		err = s.deltaApprox(ctx, ids, resetArr, keepPrefix, keepFCFS, miss)
+		s.cur.ex = ex
+		s.cur.exMemo = anchor.exMemo.Extend(topo, keepPrefix, keepFCFS)
+	} else {
+		st := s.cur.st.sessionClone()
+		st.sys, st.topo = sys, topo
+		st.memo = anchor.st.memo.Extend(topo, keepPrefix, keepFCFS)
+		for k := range affected {
+			st.hops[k] = append([]Hop(nil), st.hops[k]...)
+		}
+		s.cur.st = st
 	}
-	if miss != nil && miss.proven.Load() {
-		s.cur.res = nil
-		return nil, errDeadlineMiss
-	}
-	if err != nil {
-		return s.cur.res, err // res: partial on budget, nil otherwise
-	}
-	s.cur.needs = false
-	s.afterConverge()
-	return s.cur.res, nil
-}
-
-func setToSorted(set map[int]struct{}) []int {
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return ids, inDirty
 }
 
 // affectedJobs returns the set of jobs owning a dirty subjob.
@@ -333,119 +285,6 @@ func affectedJobs(topo *model.Topology, ids []int) map[int]struct{} {
 		out[topo.Subjobs()[id].Job] = struct{}{}
 	}
 	return out
-}
-
-// deltaApprox re-runs the Theorem 4 pipeline over the dirty cone.
-func (s *Session) deltaApprox(ctx context.Context, ids, resetArr []int, keepPrefix []int, keepFCFS []bool, miss *earlyReject) error {
-	sys, topo := s.cur.sys, s.cur.topo
-	opts := s.cfg.Opts
-
-	// Copy-on-write: previously returned Results alias the resident
-	// arrays, so this converge re-clones the outer spines and the rows of
-	// every affected job before writing anything.
-	st := s.cur.st.sessionClone()
-	s.cur.st = st
-	st.sys, st.topo = sys, topo
-	st.lim = opts.limiter()
-	st.memo = s.prev.st.memo.Extend(topo, keepPrefix, keepFCFS)
-	for k := range affectedJobs(topo, ids) {
-		st.hops[k] = append([]Hop(nil), st.hops[k]...)
-	}
-
-	refs := topo.Subjobs()
-	// Rebuild the lazy-resolution guards for this converge: every resident
-	// row counts as resolved except the dirty non-source hops, which must
-	// re-pull their arrival joins from their predecessors' (refreshed or
-	// resident, either way final) departure rows. Dirty ids always belong
-	// to affected jobs, so ensureArrivals only ever writes re-cloned rows.
-	n := len(refs)
-	st.arrState = make([]uint32, n)
-	for i := range st.arrState {
-		st.arrState[i] = 1
-	}
-	st.resolveMu = make([]sync.Mutex, n)
-	var scratch [1]int
-	for _, id := range ids {
-		r := refs[id]
-		if len(sys.Jobs[r.Job].HopPreds(r.Hop, &scratch)) > 0 {
-			st.arrState[id] = 0
-		}
-	}
-	republish := setToSorted(s.republish)
-	var runErr error
-	be := catchBudget(func() {
-		// Prologue: re-pin changed release traces (ArrEarly and ArrLate
-		// share one slice on source hops, exactly as newState publishes
-		// them) and rebuild the demand staircases whose inputs changed
-		// outside the sweep (source-hop arrivals, execution times).
-		for _, id := range resetArr {
-			r := refs[id]
-			rel := append([]model.Ticks(nil), sys.Jobs[r.Job].Releases...)
-			st.hops[r.Job][r.Hop].ArrEarly = rel
-			st.hops[r.Job][r.Hop].ArrLate = rel
-		}
-		for _, id := range republish {
-			st.publishDemand(refs[id])
-		}
-		runErr = par.RunSubset(ctx, ids, topo.Deps, topo.Dependents, opts.workers(), func(id int) {
-			r := refs[id]
-			fault.Tag(r.Job, r.Hop, sys.Subjob(r).Proc, func() { st.computeSubjob(r) })
-			if miss != nil {
-				miss.approxHop(st, r, id)
-			}
-		})
-	})
-	if be != nil {
-		res := st.result()
-		res.Method = "App(budget)"
-		s.cur.res = res
-		return fmt.Errorf("analysis: %w", be)
-	}
-	if runErr != nil {
-		s.cur.res = nil
-		return fmt.Errorf("analysis: %w", runErr)
-	}
-	s.cur.res = st.result()
-	return nil
-}
-
-// deltaExact re-runs the exact per-subjob analysis over the dirty cone.
-func (s *Session) deltaExact(ctx context.Context, ids, resetArr []int, keepPrefix []int, keepFCFS []bool, miss *earlyReject) error {
-	sys, topo := s.cur.sys, s.cur.topo
-	opts := s.cfg.Opts
-
-	ex := cloneExactOuter(s.cur.ex)
-	s.cur.ex = ex
-	for k := range affectedJobs(topo, ids) {
-		ex.Arrival[k] = append([][]model.Ticks(nil), ex.Arrival[k]...)
-		ex.Departure[k] = append([][]model.Ticks(nil), ex.Departure[k]...)
-		ex.Service[k] = append([]*curve.Curve(nil), ex.Service[k]...)
-		ex.Backlog[k] = append([]int(nil), ex.Backlog[k]...)
-	}
-	memo := s.prev.exMemo.Extend(topo, keepPrefix, keepFCFS)
-	s.cur.exMemo = memo
-	refs := topo.Subjobs()
-	for _, id := range resetArr {
-		r := refs[id]
-		ex.Arrival[r.Job][r.Hop] = append([]model.Ticks(nil), sys.Jobs[r.Job].Releases...)
-	}
-	var after func(model.SubjobRef)
-	if miss != nil {
-		after = func(r model.SubjobRef) { miss.exactHop(ex, r) }
-	}
-	err := spp.Reanalyze(ctx, sys, memo, ex, ids, opts.workers(), opts.limiter(), after)
-	res := assembleExact(ex)
-	if err != nil {
-		if errors.Is(err, ErrBudgetExceeded) {
-			res.Method = "SPP/Exact(budget)"
-			s.cur.res = res
-			return err
-		}
-		s.cur.res = nil
-		return err
-	}
-	s.cur.res = res
-	return nil
 }
 
 // Early reject. Schedulable only needs the verdict, and a miss can be
@@ -506,7 +345,8 @@ func (e *earlyReject) prove() {
 // seedPaths fills acc for the clean hops of every DirectSync job that has
 // a dirty hop. Clean hops only have clean job predecessors (the cone is
 // closed under dependents), so their resident Local values are final.
-func (e *earlyReject) seedPaths(st *state, topo *model.Topology, ids []int, inDirty []bool) {
+func (e *earlyReject) seedPaths(st *state, ids []int, inDirty []bool) {
+	topo := st.topo
 	e.acc = make([]model.Ticks, len(topo.Subjobs()))
 	for k := range affectedJobs(topo, ids) {
 		if e.sys.Jobs[k].Sync != model.DirectSync {
@@ -514,7 +354,7 @@ func (e *earlyReject) seedPaths(st *state, topo *model.Topology, ids []int, inDi
 		}
 		for _, j := range topo.HopOrder(k) {
 			if id := topo.ID(model.SubjobRef{Job: k, Hop: j}); !inDirty[id] {
-				e.acc[id] = e.pathSum(st, topo, k, j)
+				e.acc[id] = e.pathSum(st, k, j)
 			}
 		}
 	}
@@ -522,7 +362,7 @@ func (e *earlyReject) seedPaths(st *state, topo *model.Topology, ids []int, inDi
 
 // pathSum is the acc recurrence at hop j of job k, over its predecessors'
 // acc slots.
-func (e *earlyReject) pathSum(st *state, topo *model.Topology, k, j int) model.Ticks {
+func (e *earlyReject) pathSum(st *state, k, j int) model.Ticks {
 	job := &e.sys.Jobs[k]
 	hop := &st.hops[k][j]
 	if hop.DepLate == nil || curve.IsInf(hop.Local) {
@@ -531,7 +371,7 @@ func (e *earlyReject) pathSum(st *state, topo *model.Topology, k, j int) model.T
 	var best model.Ticks
 	var scratch [1]int
 	for _, p := range job.HopPreds(j, &scratch) {
-		a := e.acc[topo.ID(model.SubjobRef{Job: k, Hop: p})]
+		a := e.acc[st.topo.ID(model.SubjobRef{Job: k, Hop: p})]
 		if curve.IsInf(a) {
 			return curve.Inf
 		}
@@ -543,13 +383,13 @@ func (e *earlyReject) pathSum(st *state, topo *model.Topology, k, j int) model.T
 }
 
 // approxHop applies the approximate rule to a just-computed subjob.
-func (e *earlyReject) approxHop(st *state, r model.SubjobRef, id int) {
+func (e *earlyReject) approxHop(st *state, r model.SubjobRef) {
 	job := &e.sys.Jobs[r.Job]
 	if job.Sync != model.DirectSync {
 		return
 	}
-	a := e.pathSum(st, st.topo, r.Job, r.Hop)
-	e.acc[id] = a
+	a := e.pathSum(st, r.Job, r.Hop)
+	e.acc[st.topo.ID(r)] = a
 	if curve.IsInf(a) || a > job.Deadline {
 		e.prove()
 	}

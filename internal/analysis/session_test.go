@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"rta/internal/benchsys"
 	"rta/internal/model"
-	"rta/internal/randsys"
 	"rta/internal/sched/tdma"
 )
 
@@ -339,44 +340,7 @@ func TestSessionStructureGuard(t *testing.T) {
 	requireWarmEqualsCold(t, "unstaged", s, Options{})
 }
 
-// TestSessionIterativeEngine: sessions on the iterative engine (cyclic
-// systems) converge cold every time but still honor the staging API and
-// match IterativeOpts on the same working system.
-func TestSessionIterativeEngine(t *testing.T) {
-	cfg := randsys.Default
-	cfg.Loops = true
-	cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
-	sys := randsys.New(rand.New(rand.NewSource(63)), cfg)
-	opts := Options{Workers: 2}
-	s, err := NewSession(sys, SessionConfig{Opts: opts, Engine: EngineIterative})
-	if err != nil {
-		t.Skipf("seed system does not converge: %v", err)
-	}
-	warm, err := s.Converge()
-	cold, cerr := IterativeOpts(s.WorkingSystem(), 0, opts)
-	if (err == nil) != (cerr == nil) {
-		t.Fatalf("error mismatch: %v vs %v", err, cerr)
-	}
-	if err == nil {
-		requireSameResult(t, "iterative", cold, warm)
-	}
-	if err := s.Mutate(func(m *model.System) error {
-		m.Jobs[0].Subjobs[0].Exec++
-		return nil
-	}); err != nil {
-		t.Fatalf("Mutate: %v", err)
-	}
-	warm, err = s.Converge()
-	cold, cerr = IterativeOpts(s.WorkingSystem(), 0, opts)
-	if (err == nil) != (cerr == nil) {
-		t.Fatalf("post-mutate error mismatch: %v vs %v", err, cerr)
-	}
-	if err == nil {
-		requireSameResult(t, "iterative-mutate", cold, warm)
-	}
-}
-
-// TestSessionCyclicAuto: EngineAuto mirrors AnalyzeOpts and reports
+// TestSessionCyclicAuto: a session mirrors AnalyzeOpts and reports
 // ErrCyclic when a staged change introduces a dependency cycle, keeping
 // the session recoverable.
 func TestSessionCyclicAuto(t *testing.T) {
@@ -431,6 +395,41 @@ func TestSessionEmptyStart(t *testing.T) {
 	}
 	if ok, err := s.Schedulable(); err != nil || !ok {
 		t.Fatalf("emptied Schedulable = %v, %v", ok, err)
+	}
+}
+
+// TestRemoveNamedConcurrent: concurrent RemoveNamed calls, each naming a
+// distinct job, remove exactly the named jobs whatever the interleaving
+// (a lookup racing another removal must not shift onto a neighbor).
+func TestRemoveNamedConcurrent(t *testing.T) {
+	s, err := NewSession(churnSystem(model.SPP, 16, 2, 3, 0), SessionConfig{})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	var want []string
+	for k := 1; k < 16; k += 2 {
+		want = append(want, fmt.Sprintf("J%02d", k))
+	}
+	for trial := 0; trial < 200; trial++ {
+		var wg sync.WaitGroup
+		for k := 0; k < 16; k += 2 {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				if !s.RemoveNamed(name) {
+					t.Errorf("trial %d: RemoveNamed(%s) found nothing", trial, name)
+				}
+			}(fmt.Sprintf("J%02d", k))
+		}
+		wg.Wait()
+		var got []string
+		for _, job := range s.WorkingSystem().Jobs {
+			got = append(got, job.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: remaining jobs %v, want %v", trial, got, want)
+		}
+		s.Rollback()
 	}
 }
 

@@ -210,16 +210,6 @@ func RunSubset(ctx context.Context, ids []int, deps, dependents func(id int) []i
 	return Run(ctx, n, filter(deps), filter(dependents), workers, func(i int) { f(ids[i]) })
 }
 
-// Level runs f(id) for every id of one dependency level on up to workers
-// goroutines. It is a thin adapter over Run with an empty edge set — the
-// ids of one level are mutually independent by construction — kept for
-// callers that still schedule barrier to barrier. The fault-containment
-// contract (cancellation draining, first-panic re-raise, plain polling) is
-// Run's.
-func Level(ctx context.Context, ids []int, workers int, f func(id int)) error {
-	return Run(ctx, len(ids), nil, nil, workers, func(i int) { f(ids[i]) })
-}
-
 // minHeap is a binary min-heap of node ids: the pool dispatches the
 // lowest ready id first, which makes the serial sweep deterministic and
 // keeps parallel schedules close to the (job, hop) numbering.

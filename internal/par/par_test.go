@@ -9,20 +9,12 @@ import (
 	"time"
 )
 
-// seq returns [0, n).
-func seq(n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
-// TestLevelRunsEveryID: every id runs exactly once at every worker count.
+// TestLevelRunsEveryID: every node of one dependency level (no edges)
+// runs exactly once at every worker count.
 func TestLevelRunsEveryID(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 8, 100} {
 		var ran [64]atomic.Int32
-		err := Level(nil, seq(64), workers, func(id int) { ran[id].Add(1) })
+		err := Run(nil, 64, nil, nil, workers, func(id int) { ran[id].Add(1) })
 		if err != nil {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
@@ -45,12 +37,12 @@ func TestLevelPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want boom 13", workers, r)
 				}
 			}()
-			Level(nil, seq(32), workers, func(id int) {
+			Run(nil, 32, nil, nil, workers, func(id int) {
 				if id == 13 {
 					panic("boom 13")
 				}
 			})
-			t.Fatalf("workers=%d: Level returned instead of panicking", workers)
+			t.Fatalf("workers=%d: Run returned instead of panicking", workers)
 		}()
 	}
 }
@@ -61,7 +53,7 @@ func TestLevelPanicStopsNewItems(t *testing.T) {
 	var started atomic.Int32
 	func() {
 		defer func() { recover() }()
-		Level(nil, seq(1000), 2, func(id int) {
+		Run(nil, 1000, nil, nil, 2, func(id int) {
 			started.Add(1)
 			if id == 0 {
 				panic("stop")
@@ -78,7 +70,7 @@ func TestLevelPanicStopsNewItems(t *testing.T) {
 
 // canceledAfter is a fake context that reports itself canceled once
 // Err has been called n times — a deterministic probe for the polling
-// contract (Level promises plain Err polling, no channel selects).
+// contract (Run promises plain Err polling, no channel selects).
 type canceledAfter struct {
 	context.Context
 	calls atomic.Int64
@@ -97,7 +89,7 @@ func (c *canceledAfter) Err() error {
 func TestLevelSerialCancellation(t *testing.T) {
 	ctx := &canceledAfter{Context: context.Background(), limit: 3}
 	var ran int
-	err := Level(ctx, seq(10), 1, func(id int) { ran++ })
+	err := Run(ctx, 10, nil, nil, 1, func(id int) { ran++ })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -112,7 +104,7 @@ func TestLevelParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	err := Level(ctx, seq(100), 8, func(id int) { ran.Add(1) })
+	err := Run(ctx, 100, nil, nil, 8, func(id int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -122,11 +114,11 @@ func TestLevelParallelCancellation(t *testing.T) {
 }
 
 // TestLevelMidflightCancellation: cancelling mid-level stops new pulls and
-// Level still returns the context error after the drain.
+// Run still returns the context error after the drain.
 func TestLevelMidflightCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := Level(ctx, seq(10000), 4, func(id int) {
+	err := Run(ctx, 10000, nil, nil, 4, func(id int) {
 		if ran.Add(1) == 5 {
 			cancel()
 		}
@@ -141,7 +133,7 @@ func TestLevelMidflightCancellation(t *testing.T) {
 
 // TestLevelEmpty: an empty level is a no-op with a nil error.
 func TestLevelEmpty(t *testing.T) {
-	if err := Level(nil, nil, 8, func(id int) { t.Fatal("ran") }); err != nil {
+	if err := Run(nil, 0, nil, nil, 8, func(id int) { t.Fatal("ran") }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -60,55 +60,28 @@ var ErrCyclic = errors.New("spp: cyclic subjob dependencies (physical or logical
 var ErrResources = errors.New("spp: exact analysis does not support shared resources")
 
 // Analyze runs the exact analysis on a valid, all-SPP system.
-func Analyze(sys *model.System) (*Result, error) { return AnalyzeWorkers(sys, 1) }
-
-// AnalyzeWorkers is Analyze with a bounded worker pool: the subjob graph
-// (previous hop plus higher-priority neighbors; see model.Topology.Deps)
-// is swept by par.Run's dependency-counter work queue, each subjob
-// becoming ready the moment its last prerequisite finishes. Every subjob
-// writes only its own result rows and its next hop's arrivals (read only
-// after the dependency edge fires), and reads only finished
-// prerequisites, so the output is field-identical for every worker count.
-func AnalyzeWorkers(sys *model.System, workers int) (*Result, error) {
-	return AnalyzeWith(context.Background(), sys, workers, nil)
+func Analyze(sys *model.System) (*Result, error) {
+	return AnalyzeWith(context.Background(), sys, 1, nil)
 }
 
-// AnalyzeWith is AnalyzeWorkers under fault containment: ctx cancels the
-// sweep between subjob evaluations (the level in flight drains first,
-// then a wrapped ctx.Err() is returned), and lim meters the curve
-// breakpoints the run materializes (nil = unlimited). When the budget
-// trips, a partial Result accompanies an error wrapping
-// fault.ErrBudgetExceeded: jobs whose last hop was fully analyzed keep
-// their exact WCRT, the rest report curve.Inf.
+// AnalyzeWith is Analyze on a bounded worker pool and under fault
+// containment. The subjob graph (precedence predecessors plus
+// higher-priority neighbors; see model.Topology.Deps) is swept by
+// par.Run's dependency-counter work queue, each subjob becoming ready the
+// moment its last prerequisite finishes, so the output is field-identical
+// for every worker count. ctx cancels the sweep between subjob
+// evaluations (in-flight ones drain first, then a wrapped ctx.Err() is
+// returned), and lim meters the curve breakpoints the run materializes
+// (nil = unlimited). When the budget trips, a partial Result accompanies
+// an error wrapping fault.ErrBudgetExceeded: jobs whose sinks were fully
+// analyzed keep their exact WCRT, the rest report curve.Inf.
 func AnalyzeWith(ctx context.Context, sys *model.System, workers int, lim *curve.Limiter) (_ *Result, err error) {
 	defer fault.Boundary("spp.Analyze", &err)
-	if err := sys.Validate(); err != nil {
-		return nil, fmt.Errorf("spp: %w", err)
-	}
-	for p := range sys.Procs {
-		if sys.Procs[p].Sched != model.SPP {
-			return nil, ErrNotSPP
-		}
-	}
-	if sys.HasResources() {
-		return nil, ErrResources
-	}
-
-	// Dependency sweep over the subjob graph: each subjob depends on its
-	// previous hop and on the higher-priority subjobs sharing its
-	// processor (for all-SPP systems the cached topology graph contains
-	// exactly these edges). Every subjob is analyzed exactly once, the
-	// moment its prerequisites are done; a cycle starves the queue.
-	topo := sys.Topology()
-	if _, acyclic := topo.Levels(); !acyclic {
-		return nil, ErrCyclic
+	if err := Check(sys); err != nil {
+		return nil, err
 	}
 	res := NewResult(sys)
-	all := make([]int, len(topo.Subjobs()))
-	for i := range all {
-		all[i] = i
-	}
-	if err := Reanalyze(ctx, sys, sched.NewMemo(topo), res, all, workers, lim, nil); err != nil {
+	if err := Reanalyze(ctx, sys, sched.NewMemo(sys.Topology()), res, nil, workers, lim, nil); err != nil {
 		if errors.Is(err, fault.ErrBudgetExceeded) {
 			return res, err
 		}
@@ -117,10 +90,30 @@ func AnalyzeWith(ctx context.Context, sys *model.System, workers int, lim *curve
 	return res, nil
 }
 
+// Check reports why the exact analysis cannot run on sys: a validation
+// error, ErrNotSPP, ErrResources or ErrCyclic (every subjob must be
+// analyzable exactly once, after its prerequisites); nil when it can.
+func Check(sys *model.System) error {
+	if err := sys.Validate(); err != nil {
+		return fmt.Errorf("spp: %w", err)
+	}
+	for p := range sys.Procs {
+		if sys.Procs[p].Sched != model.SPP {
+			return ErrNotSPP
+		}
+	}
+	if sys.HasResources() {
+		return ErrResources
+	}
+	if _, acyclic := sys.Topology().Levels(); !acyclic {
+		return ErrCyclic
+	}
+	return nil
+}
+
 // NewResult allocates an unanalyzed Result shell for sys: rows sized per
-// job, source-hop arrivals (hop 0 for chain jobs) copied from the release
-// traces, everything else zero. Reanalyze over every subjob id fills it;
-// warm-start callers keep the shell resident and refill only dirty rows.
+// job, every row empty. Reanalyze over every subjob fills it; warm-start
+// callers keep the shell resident and refill only dirty rows.
 func NewResult(sys *model.System) *Result {
 	res := &Result{
 		WCRT:      make([]model.Ticks, len(sys.Jobs)),
@@ -129,81 +122,76 @@ func NewResult(sys *model.System) *Result {
 		Service:   make([][]*curve.Curve, len(sys.Jobs)),
 		Backlog:   make([][]int, len(sys.Jobs)),
 	}
-	topo := sys.Topology()
 	for k := range sys.Jobs {
 		hops := len(sys.Jobs[k].Subjobs)
 		res.Arrival[k] = make([][]model.Ticks, hops)
 		res.Departure[k] = make([][]model.Ticks, hops)
 		res.Service[k] = make([]*curve.Curve, hops)
 		res.Backlog[k] = make([]int, hops)
-		for _, j := range topo.Sources(k) {
-			res.Arrival[k][j] = append([]model.Ticks(nil), sys.Jobs[k].Releases...)
-		}
 	}
 	return res
 }
 
-// Reanalyze re-runs the exact per-subjob analysis over the given subjob
-// ids (duplicate-free, in sys.Topology() numbering; their order is the
-// dispatch preference among ready subjobs, see par.RunSubset) and
-// recomputes every WCRT from the refreshed rows. after, when non-nil, is
-// called with each subjob right after its rows are final, on the worker
-// that computed them; it may cancel ctx to stop the sweep early, which
-// returns the cancellation error as for any cancelled run. The caller
-// guarantees sys is a valid, acyclic, resource-free all-SPP system, memo
-// belongs to the current topology with any stale prefix entries
-// invalidated (sched.Memo.Extend), and every row a dirty subjob reads
-// that is NOT in ids already holds its converged value — then the
-// refreshed rows are bit-identical to a cold AnalyzeWith at any worker
-// count. On a tripped breakpoint budget the rows analyzed so far stay
-// published and an error wrapping fault.ErrBudgetExceeded is returned,
-// mirroring AnalyzeWith.
+// Reanalyze runs the exact per-subjob analysis over the given subjob ids
+// (nil = every subjob; otherwise duplicate-free, in sys.Topology()
+// numbering, their order being the dispatch preference among ready
+// subjobs, see par.RunSubset) and recomputes every WCRT from the
+// refreshed rows. The rows of the listed ids are cleared first, so a
+// subjob the sweep does not reach (budget trip) reads as unanalyzed, never
+// as its previous value. after, when non-nil, is called with each subjob
+// right after its rows are final, on the worker that computed them; it
+// may cancel ctx to stop the sweep early, which returns the cancellation
+// error as for any cancelled run. The caller guarantees Check(sys) holds,
+// the listed rows are private to res, memo belongs to the current
+// topology with any stale prefix entries invalidated (sched.Memo.Extend),
+// and every row a listed subjob reads that is NOT listed already holds its
+// converged value — then the refreshed rows are bit-identical to a cold
+// AnalyzeWith at any worker count. On a tripped breakpoint budget the rows
+// analyzed so far stay published and an error wrapping
+// fault.ErrBudgetExceeded is returned.
 func Reanalyze(ctx context.Context, sys *model.System, memo *sched.Memo, res *Result, ids []int, workers int, lim *curve.Limiter, after func(model.SubjobRef)) error {
 	topo := sys.Topology()
 	refs := topo.Subjobs()
-	var budgetErr error
-	sweepErr := func() (swErr error) {
-		defer func() {
-			// A limiter trip panics a *curve.BudgetError out of a worker
-			// (possibly fault-tagged); par.Run drains the in-flight work and
-			// re-raises it, so recover it here and the rows analyzed so far
-			// become a partial result. Any other panic keeps unwinding to
-			// the entry boundary.
-			if r := recover(); r != nil {
-				if be, ok := fault.Payload(r).(*curve.BudgetError); ok {
-					swErr = be
-					return
-				}
-				panic(r)
-			}
-		}()
-		return par.RunSubset(ctx, ids, topo.Deps, topo.Dependents, workers, func(id int) {
-			r := refs[id]
-			fault.Tag(r.Job, r.Hop, sys.Subjob(r).Proc, func() {
-				analyzeSubjob(sys, topo, memo, res, lim, r)
-			})
-			if after != nil {
-				after(r)
-			}
+	for _, id := range ids {
+		r := refs[id]
+		res.Arrival[r.Job][r.Hop], res.Departure[r.Job][r.Hop], res.Service[r.Job][r.Hop] = nil, nil, nil
+		res.Backlog[r.Job][r.Hop] = 0
+	}
+	step := func(id int) {
+		r := refs[id]
+		fault.Tag(r.Job, r.Hop, sys.Subjob(r).Proc, func() {
+			analyzeSubjob(sys, topo, memo, res, lim, r)
 		})
-	}()
-	if sweepErr != nil {
-		if errors.Is(sweepErr, fault.ErrBudgetExceeded) {
-			budgetErr = fmt.Errorf("spp: %w", sweepErr)
-		} else {
-			return fmt.Errorf("spp: %w", sweepErr)
+		if after != nil {
+			after(r)
 		}
 	}
-	ComputeWCRT(sys, res)
-	return budgetErr
+	var err error
+	// A limiter trip panics out of a worker; par drains the in-flight work
+	// and re-raises it, and the rows analyzed so far become the partial
+	// result.
+	be := curve.CatchBudget(func() {
+		if ids == nil {
+			err = par.Run(ctx, len(refs), topo.Deps, topo.Dependents, workers, step)
+		} else {
+			err = par.RunSubset(ctx, ids, topo.Deps, topo.Dependents, workers, step)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("spp: %w", err)
+	}
+	computeWCRT(sys, topo, res)
+	if be != nil {
+		return fmt.Errorf("spp: %w", be)
+	}
+	return nil
 }
 
-// ComputeWCRT recomputes every job's Theorem 1 end-to-end response time
+// computeWCRT recomputes every job's Theorem 1 end-to-end response time
 // from the Departure rows: an instance completes when the last of its
 // sink hops does (the single last hop for chain jobs). Jobs with a sink
 // lacking departure rows (budget-truncated run) report curve.Inf.
-func ComputeWCRT(sys *model.System, res *Result) {
-	topo := sys.Topology()
+func computeWCRT(sys *model.System, topo *model.Topology, res *Result) {
 	for k := range sys.Jobs {
 		var worst model.Ticks
 		for _, j := range topo.Sinks(k) {
@@ -233,20 +221,22 @@ func ComputeWCRT(sys *model.System, res *Result) {
 // it materializes against lim (nil = unlimited).
 func analyzeSubjob(sys *model.System, topo *model.Topology, memo *sched.Memo, res *Result, lim *curve.Limiter, r model.SubjobRef) {
 	sj := sys.Subjob(r)
-	// Non-source hops pull their exact arrivals from the precedence
-	// predecessors' departure rows (all final — the dependency edges
-	// cover them): the completions plus per-edge PostDelay join by
-	// elementwise max, then the sync policy applies at this hop. Only
-	// this subjob writes its own arrival row, so the sweep stays
-	// race-free at any worker count; warm re-analysis recomputes the row
-	// from whatever mix of refreshed and resident predecessor rows is
-	// current, which is exactly the cold value.
+	// Source hops copy the release trace. Non-source hops pull their
+	// exact arrivals from the precedence predecessors' departure rows (all
+	// final — the dependency edges cover them): the completions plus
+	// per-edge PostDelay join by elementwise max, then the sync policy
+	// applies at this hop. Only this subjob writes its own arrival row, so
+	// the sweep stays race-free at any worker count; warm re-analysis
+	// recomputes the row from whatever mix of refreshed and resident
+	// predecessor rows is current, which is exactly the cold value.
 	var scratchPreds [1]int
 	job := &sys.Jobs[r.Job]
 	if preds := job.HopPreds(r.Hop, &scratchPreds); len(preds) > 0 {
 		res.Arrival[r.Job][r.Hop] = sys.JoinReleases(r.Job, r.Hop, preds, func(p int) []model.Ticks {
 			return res.Departure[r.Job][p]
 		})
+	} else {
+		res.Arrival[r.Job][r.Hop] = append([]model.Ticks(nil), job.Releases...)
 	}
 	arr := res.Arrival[r.Job][r.Hop]
 	// Per-evaluation arena: the demand staircase, availability and raw

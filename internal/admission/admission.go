@@ -108,6 +108,15 @@ func (c *Controller) Admitted() []string {
 	return out
 }
 
+// Stats returns the number of admitted jobs and the session's converge
+// counters (warm deltas vs cold converges, early rejects) under one read
+// lock, without copying the admitted system.
+func (c *Controller) Stats() (admitted int, sess analysis.SessionStats) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.index), c.sess.Stats()
+}
+
 // ErrDuplicate rejects a request whose name is already admitted.
 var ErrDuplicate = errors.New("admission: job name already admitted")
 

@@ -302,9 +302,9 @@ func (st *state) unconvergedJobs(seeds []bool) []int {
 }
 
 // dirtyServiceReaders marks the subjobs that consume subjob id's service
-// bounds - the reverse of the policy registry's ServiceDeps hook (e.g. the
-// lower-priority neighbors under SPP/SPNP, the interference terms of
-// Theorems 5/6).
+// bounds - under the policy registry's HigherPriorityService declaration
+// (SPP/SPNP) the lower-priority neighbors, whose interference terms of
+// Theorems 5/6 include it.
 func (st *state) dirtyServiceReaders(id int, dirty []bool) {
 	for _, o := range st.topo.ServiceReaders(id) {
 		dirty[o] = true

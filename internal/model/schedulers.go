@@ -23,17 +23,22 @@ type SchedulerInfo struct {
 	// Name is the canonical abbreviation used by String, ParseScheduler
 	// and the JSON codec. Must be unique and non-empty.
 	Name string
-	// ServiceDeps lists the co-located subjobs whose *service bounds* feed
-	// r's analysis (interference terms, e.g. the higher-priority neighbors
-	// under static-priority scheduling). nil means no such inputs. The
-	// callback runs while the topology index is being built and may only
-	// use the per-processor views (ID, OnProc, ByPriority, Higher, Lower);
-	// the returned slice is not retained or mutated.
-	ServiceDeps func(s *System, t *Topology, r SubjobRef) []SubjobRef
+	// HigherPriorityService declares that the analysis of a subjob reads
+	// the service bounds of exactly the strictly higher-priority subjobs
+	// on its processor — the ByPriority prefix before it (the
+	// interference terms of Theorems 5/6 and of the exact Equation 10
+	// under static-priority scheduling). The topology index stores the
+	// relation as the priority order itself: one dependency edge to the
+	// immediate higher-priority neighbor (the rest of the prefix is
+	// reached through it) and ServiceReaders as the ByPriority suffix.
+	HigherPriorityService bool
 	// DemandDeps lists the co-located subjobs whose *arrival/demand
 	// curves* feed r's analysis (e.g. the processor-wide total workload of
 	// Equation 21 under FCFS). The subjob itself may be included and is
-	// ignored where redundant. Same restrictions as ServiceDeps.
+	// ignored where redundant. nil means no such inputs. The callback runs
+	// while the topology index is being built and may only use its
+	// per-processor views (ID, OnProc, ByPriority, PrioPos, Higher); the
+	// returned slice is not retained or mutated.
 	DemandDeps func(s *System, t *Topology, r SubjobRef) []SubjobRef
 	// ValidateProc, when non-nil, checks the discipline-specific processor
 	// parameters (e.g. TDMA slot/cycle) during System.Validate. It runs
@@ -92,14 +97,6 @@ func RegisteredSchedulers() []Scheduler {
 	return out
 }
 
-// higherPriorityDeps is the ServiceDeps rule shared by the static-priority
-// disciplines: the strictly higher-priority subjobs on the same processor
-// (their service bounds are the interference terms of Theorems 5/6 and of
-// the exact Equation 10).
-func higherPriorityDeps(s *System, t *Topology, r SubjobRef) []SubjobRef {
-	return t.Higher(r)
-}
-
 // colocatedDemandDeps is the DemandDeps rule of FCFS: every subjob on the
 // processor contributes to the total-workload function of Equation (21).
 // The shared OnProc slice includes r itself, which consumers ignore.
@@ -108,7 +105,7 @@ func colocatedDemandDeps(s *System, t *Topology, r SubjobRef) []SubjobRef {
 }
 
 func init() {
-	RegisterScheduler(SchedulerInfo{Sched: SPP, Name: "SPP", ServiceDeps: higherPriorityDeps})
-	RegisterScheduler(SchedulerInfo{Sched: SPNP, Name: "SPNP", ServiceDeps: higherPriorityDeps})
+	RegisterScheduler(SchedulerInfo{Sched: SPP, Name: "SPP", HigherPriorityService: true})
+	RegisterScheduler(SchedulerInfo{Sched: SPNP, Name: "SPNP", HigherPriorityService: true})
 	RegisterScheduler(SchedulerInfo{Sched: FCFS, Name: "FCFS", DemandDeps: colocatedDemandDeps})
 }

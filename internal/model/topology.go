@@ -1,15 +1,31 @@
 package model
 
 // The topology index caches every per-processor view the analyses need —
-// subjob lists, priority orders, higher/lower-priority neighbor sets,
-// blocking terms and resource ceilings — so the engines stop re-scanning
-// and re-sorting the job table on every query. The index is built lazily
-// on first use and keyed by a fingerprint of the topology-relevant fields,
-// so callers that mutate systems in place (priority synthesis, sensitivity
-// analysis, random search) transparently get a fresh index on the next
-// query with no invalidation calls at the mutation sites.
+// subjob lists, priority orders, blocking terms, resource ceilings and the
+// analysis dependency graph — so the engines stop re-scanning and
+// re-sorting the job table on every query. The index is built lazily on
+// first use and keyed by a fingerprint of the topology-relevant fields,
+// so callers that mutate systems in place (priority synthesis,
+// sensitivity analysis, random search) transparently get a fresh index on
+// the next query with no invalidation calls at the mutation sites.
+//
+// Every admission decision builds an index, so the build is linear in
+// subjobs + processors plus one sort per processor (FCFS demand edges and
+// priority-ceiling blocking, which scan whole processors, excepted). The
+// static-priority relation "reads the service bounds of every strictly
+// higher-priority subjob" is stored once, as the priority order itself,
+// instead of being expanded per subjob: the higher-priority set and its
+// reverse are zero-copy prefix and suffix views of ByPriority, and the
+// dependency graph keeps one edge per static-priority hop, to the
+// immediate higher-priority neighbor. That neighbor depends on everyone
+// above it in turn, so the reduced graph has exactly the reachability of
+// the full one (see Deps). The adjacency lists live in flat arrays.
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Topology is an immutable precomputed index over a System's scheduling
 // topology. All returned slices and maps are shared and MUST NOT be
@@ -21,8 +37,13 @@ type Topology struct {
 	sig     uint64
 	offsets []int       // subjob id of (k, 0) for each job k
 	refs    []SubjobRef // all subjobs in (job, hop) order
+	proc    []int       // proc[id] is subjob id's processor
+	// Per processor, views into one flat array each: onProc in (job, hop)
+	// order, byPrio from highest to lowest priority and prioIDs the same
+	// subjobs as ids.
 	onProc  [][]SubjobRef
 	byPrio  [][]SubjobRef
+	prioIDs [][]int
 	// prioPos[id] is the position of subjob id in its processor's byPrio
 	// list. Because HigherPriority is a strict total order and byPrio is
 	// sorted by it, byPrio[p][:prioPos[id]] is exactly Higher(id) — the
@@ -32,27 +53,24 @@ type Topology struct {
 	// list ((job, hop) admission order). Slot-table disciplines (TDMA) key
 	// their slot assignment off this position.
 	onProcPos []int
-	// Per subjob id, in deterministic (job, hop) order:
-	higher      [][]SubjobRef // strictly higher-priority subjobs on the same processor
-	lower       [][]SubjobRef // strictly lower-priority subjobs on the same processor
-	blocking    []Ticks       // Equation (15)
-	pcpBlocking []Ticks       // priority-ceiling blocking (resources.go)
-	ceilings    map[int]int   // resource -> priority ceiling
-	// Analysis dependency graph, per subjob id: deps are the subjobs whose
-	// outputs feed this subjob's computation, dependents the reverse edges
-	// (who must be recomputed when this subjob's outputs change). levels
-	// partitions the ids into dependency levels when the graph is acyclic.
-	deps       [][]int
-	dependents [][]int
+	// prefixService[p] records the registry's HigherPriorityService
+	// declaration for processor p's discipline.
+	prefixService []bool
+	blocking      []Ticks     // Equation (15), per subjob id
+	pcpBlocking   []Ticks     // priority-ceiling blocking (resources.go), per subjob id
+	ceilings      map[int]int // resource -> priority ceiling; nil without resources
+	// Analysis dependency graph (see Deps): dependents holds the reverse
+	// edges (who must be recomputed when a subjob's outputs change), each
+	// row ascending. levels partitions the ids into dependency levels when
+	// the graph is acyclic.
+	deps       adjacency
+	dependents adjacency
 	levels     [][]int
 	acyclic    bool
-	// Reverse policy-input maps, per subjob id: serviceReaders are the
-	// co-located subjobs whose analysis consumes id's service bounds,
-	// demandReaders those consuming id's arrival/demand curves (beyond id
-	// itself). Both derive from the scheduler registry's ServiceDeps and
-	// DemandDeps hooks and drive the iterative engine's dirty sets.
-	serviceReaders [][]int
-	demandReaders  [][]int
+	// demandReaders, per subjob id, are the co-located subjobs (beyond id
+	// itself) consuming id's arrival/demand curves, from the registry's
+	// DemandDeps hook.
+	demandReaders [][]int
 	// Job-internal precedence graph in global-id space: jobPreds[id] are
 	// the subjobs whose completions release id (the job's Precedence
 	// lists, or [id-1] for the implicit chain), jobSuccs the reverse
@@ -64,6 +82,20 @@ type Topology struct {
 	sources  [][]int
 	sinks    [][]int
 	hopOrder [][]int
+}
+
+// adjacency is a compressed adjacency list: the edges of node id are
+// flat[start[id]:start[id+1]].
+type adjacency struct {
+	start []int
+	flat  []int
+}
+
+// row returns the edges of node id, capped so an append cannot spill
+// into the next row.
+func (a adjacency) row(id int) []int {
+	lo, hi := a.start[id], a.start[id+1]
+	return a.flat[lo:hi:hi]
 }
 
 // topoSig fingerprints the fields the index depends on: processor
@@ -150,8 +182,8 @@ func (r *topoRing) with(t *Topology) *topoRing {
 
 // Topology returns the cached index, rebuilding it if the system's
 // topology changed since it was last built. The check costs one linear
-// fingerprint pass; the build costs one sort per processor plus the
-// neighbor-set expansion. Safe for concurrent use: concurrent callers may
+// fingerprint pass; the build is linear in subjobs and processors plus
+// one sort per processor. Safe for concurrent use: concurrent callers may
 // race to build or reorder the ring, but every returned index is valid
 // for the fingerprinted state.
 func (s *System) Topology() *Topology {
@@ -173,11 +205,13 @@ func (s *System) Topology() *Topology {
 }
 
 func buildTopology(s *System, sig uint64) *Topology {
+	np := len(s.Procs)
 	t := &Topology{
 		sig:     sig,
 		offsets: make([]int, len(s.Jobs)+1),
-		onProc:  make([][]SubjobRef, len(s.Procs)),
-		byPrio:  make([][]SubjobRef, len(s.Procs)),
+		onProc:  make([][]SubjobRef, np),
+		byPrio:  make([][]SubjobRef, np),
+		prioIDs: make([][]int, np),
 	}
 	n := 0
 	for k := range s.Jobs {
@@ -186,125 +220,146 @@ func buildTopology(s *System, sig uint64) *Topology {
 	}
 	t.offsets[len(s.Jobs)] = n
 	t.refs = make([]SubjobRef, 0, n)
+	t.proc = make([]int, 0, n)
+	procStart := make([]int, np+1)
 	for k := range s.Jobs {
 		for j := range s.Jobs[k].Subjobs {
-			r := SubjobRef{k, j}
-			t.refs = append(t.refs, r)
 			p := s.Jobs[k].Subjobs[j].Proc
-			t.onProc[p] = append(t.onProc[p], r)
+			t.refs = append(t.refs, SubjobRef{k, j})
+			t.proc = append(t.proc, p)
+			procStart[p+1]++
 		}
 	}
-	buildPrecedence(s, t, n)
-	for p := range t.byPrio {
-		t.byPrio[p] = append([]SubjobRef(nil), t.onProc[p]...)
-		refs := t.byPrio[p]
-		// Insertion sort on (priority, job, hop): per-processor lists are
-		// short and already (job, hop)-ordered, making this near-linear and
-		// allocation-free; the order matches HigherPriority's tie-break.
-		for i := 1; i < len(refs); i++ {
-			r := refs[i]
-			pr := s.Subjob(r).Priority
-			j := i - 1
-			for j >= 0 {
-				o := refs[j]
-				po := s.Subjob(o).Priority
-				if po < pr || (po == pr && (o.Job < r.Job || (o.Job == r.Job && o.Hop < r.Hop))) {
-					break
-				}
-				refs[j+1] = refs[j]
-				j--
-			}
-			refs[j+1] = r
-		}
+	for p := 0; p < np; p++ {
+		procStart[p+1] += procStart[p]
 	}
-	t.prioPos = make([]int, n)
-	for p := range t.byPrio {
-		for i, r := range t.byPrio[p] {
-			t.prioPos[t.ID(r)] = i
-		}
-	}
+	// Per-processor lists by counting sort: ids ascend, so each
+	// processor's slice comes out in (job, hop) order.
+	onProcFlat := make([]SubjobRef, n)
 	t.onProcPos = make([]int, n)
-	for p := range t.onProc {
-		for i, r := range t.onProc[p] {
-			t.onProcPos[t.ID(r)] = i
-		}
+	next := slices.Clone(procStart[:np])
+	for id, r := range t.refs {
+		p := t.proc[id]
+		onProcFlat[next[p]] = r
+		t.onProcPos[id] = next[p] - procStart[p]
+		next[p]++
 	}
-	// Resource ceilings (one pass; empty map when no resources declared).
-	t.ceilings = map[int]int{}
-	for k := range s.Jobs {
-		for j := range s.Jobs[k].Subjobs {
-			sj := &s.Jobs[k].Subjobs[j]
-			for _, cs := range sj.CS {
-				if c, ok := t.ceilings[cs.Resource]; !ok || sj.Priority < c {
-					t.ceilings[cs.Resource] = sj.Priority
-				}
+	byPrioFlat := slices.Clone(onProcFlat)
+	prioIDFlat := make([]int, n)
+	t.prioPos = make([]int, n)
+	for p := 0; p < np; p++ {
+		lo, hi := procStart[p], procStart[p+1]
+		t.onProc[p] = onProcFlat[lo:hi:hi]
+		refs := byPrioFlat[lo:hi:hi]
+		// (priority, job, hop): the strict total order of HigherPriority.
+		slices.SortFunc(refs, func(a, b SubjobRef) int {
+			if c := cmp.Compare(s.Subjob(a).Priority, s.Subjob(b).Priority); c != 0 {
+				return c
+			}
+			if a.Job != b.Job {
+				return a.Job - b.Job
+			}
+			return a.Hop - b.Hop
+		})
+		t.byPrio[p] = refs
+		ids := prioIDFlat[lo:hi:hi]
+		for i, r := range refs {
+			id := t.ID(r)
+			ids[i] = id
+			t.prioPos[id] = i
+		}
+		t.prioIDs[p] = ids
+	}
+	infos := make([]SchedulerInfo, np)
+	t.prefixService = make([]bool, np)
+	for p := range s.Procs {
+		// Unregistered schedulers (rejected by Validate) read a zero info
+		// and contribute no policy edges, keeping the index total on
+		// arbitrary systems.
+		infos[p], _ = LookupScheduler(s.Procs[p].Sched)
+		t.prefixService[p] = infos[p].HigherPriorityService
+	}
+	buildBlocking(s, t)
+	buildPrecedence(s, t, n)
+	buildDependencyGraph(s, t, infos)
+	return t
+}
+
+// buildBlocking fills the resource ceilings and the per-subjob blocking
+// terms. The Equation (15) term is the largest execution time among the
+// strictly lower-priority subjobs — a suffix of the priority order — so a
+// suffix maximum per processor computes it. The priority-ceiling term
+// scans the suffix's critical sections and is skipped when no resources
+// are declared.
+func buildBlocking(s *System, t *Topology) {
+	for _, r := range t.refs {
+		sj := s.Subjob(r)
+		for _, cs := range sj.CS {
+			if t.ceilings == nil {
+				t.ceilings = map[int]int{}
+			}
+			if c, ok := t.ceilings[cs.Resource]; !ok || sj.Priority < c {
+				t.ceilings[cs.Resource] = sj.Priority
 			}
 		}
 	}
-	// Neighbor sets and blocking terms, per subjob, in (job, hop) order.
-	t.higher = make([][]SubjobRef, n)
-	t.lower = make([][]SubjobRef, n)
+	n := len(t.refs)
 	t.blocking = make([]Ticks, n)
 	t.pcpBlocking = make([]Ticks, n)
-	for _, r := range t.refs {
-		id := t.ID(r)
-		self := s.Subjob(r)
-		var hi, lo []SubjobRef
-		for _, o := range t.onProc[self.Proc] {
-			if o == r {
-				continue
-			}
-			if s.HigherPriority(o, r) {
-				hi = append(hi, o)
-				continue
-			}
-			lo = append(lo, o)
-			osj := s.Subjob(o)
-			if osj.Exec > t.blocking[id] {
-				t.blocking[id] = osj.Exec
-			}
-			for _, cs := range osj.CS {
-				if t.ceilings[cs.Resource] <= self.Priority && cs.Duration > t.pcpBlocking[id] {
-					t.pcpBlocking[id] = cs.Duration
+	for _, ids := range t.prioIDs {
+		var suffix Ticks
+		for i := len(ids) - 1; i >= 0; i-- {
+			t.blocking[ids[i]] = suffix
+			suffix = max(suffix, s.Subjob(t.refs[ids[i]]).Exec)
+		}
+		if t.ceilings == nil {
+			continue
+		}
+		for i, id := range ids {
+			prio := s.Subjob(t.refs[id]).Priority
+			for _, o := range ids[i+1:] {
+				for _, cs := range s.Subjob(t.refs[o]).CS {
+					if t.ceilings[cs.Resource] <= prio && cs.Duration > t.pcpBlocking[id] {
+						t.pcpBlocking[id] = cs.Duration
+					}
 				}
 			}
 		}
-		t.higher[id] = hi
-		t.lower[id] = lo
 	}
-	buildDependencyGraph(s, t, n)
-	return t
 }
 
 // buildPrecedence compiles each job's precedence DAG (or the implicit
 // chain) into global-id edge lists, source/sink hop sets and a per-job
-// topological hop order. Out-of-range, self-loop and duplicate entries
-// are skipped so the index stays total on systems Validate would reject;
-// on a cyclic precedence graph hopOrder covers only the acyclic prefix
-// (such systems never reach the engines).
+// topological hop order. Chain jobs allocate nothing of their own: their
+// one-element edge lists, identity hop orders and source/sink sets are
+// all views of one shared identity array (ident[i] == i serves as both a
+// global id and a hop index). Out-of-range, self-loop and duplicate
+// entries are skipped so the index stays total on systems Validate would
+// reject; on a cyclic precedence graph hopOrder covers only the acyclic
+// prefix (such systems never reach the engines).
 func buildPrecedence(s *System, t *Topology, n int) {
 	t.jobPreds = make([][]int, n)
 	t.jobSuccs = make([][]int, n)
 	t.sources = make([][]int, len(s.Jobs))
 	t.sinks = make([][]int, len(s.Jobs))
 	t.hopOrder = make([][]int, len(s.Jobs))
+	ident := make([]int, n)
+	for i := range ident {
+		ident[i] = i
+	}
 	for k := range s.Jobs {
 		job := &s.Jobs[k]
 		base := t.offsets[k]
 		nh := len(job.Subjobs)
 		if job.ChainLike() {
-			for j := 1; j < nh; j++ {
-				t.jobPreds[base+j] = []int{base + j - 1}
-				t.jobSuccs[base+j-1] = []int{base + j}
+			for id := base + 1; id < base+nh; id++ {
+				t.jobPreds[id] = ident[id-1 : id : id]
+				t.jobSuccs[id-1] = ident[id : id+1 : id+1]
 			}
-			order := make([]int, nh)
-			for j := range order {
-				order[j] = j
-			}
-			t.hopOrder[k] = order
+			t.hopOrder[k] = ident[:nh:nh]
 			if nh > 0 {
-				t.sources[k] = []int{0}
-				t.sinks[k] = []int{nh - 1}
+				t.sources[k] = ident[:1:1]
+				t.sinks[k] = ident[nh-1 : nh : nh]
 			}
 			continue
 		}
@@ -354,15 +409,16 @@ func buildPrecedence(s *System, t *Topology, n int) {
 }
 
 // buildDependencyGraph derives the analysis dependency edges: which
-// subjobs' outputs each subjob reads. The edges mirror the data flow of
-// the per-subjob analyses exactly:
+// subjobs' outputs each subjob reads, up to transitivity. Per subjob the
+// edges are
 //
 //   - the precedence predecessors within the same job (their
 //     latest/earliest departures join into this hop's arrival bounds;
 //     for chain jobs this is the previous hop);
-//   - the scheduler's ServiceDeps (e.g. the strictly higher-priority
-//     subjobs on a SPP/SPNP processor, whose service bounds are the
-//     interference terms);
+//   - on a HigherPriorityService processor (SPP/SPNP), the immediate
+//     higher-priority neighbor: the subjob reads the service bounds of
+//     the whole higher-priority prefix (the interference terms), and the
+//     rest of the prefix are dependencies of that neighbor, transitively;
 //   - the precedence predecessors of each of the scheduler's DemandDeps
 //     (e.g. every co-located subjob on a FCFS processor, whose arrivals
 //     form the total-workload function of Equation 21: the arrivals of
@@ -370,63 +426,76 @@ func buildPrecedence(s *System, t *Topology, n int) {
 //     departures, which is what the edge must wait for).
 //
 // The same graph drives Kahn scheduling and level partitioning in the
-// acyclic engines, and dirty-set propagation plus divergence marking in
-// the iterative engine (via the reverse edges). The reverse policy-input
-// maps (serviceReaders, demandReaders) are built in the same pass.
-func buildDependencyGraph(s *System, t *Topology, n int) {
-	t.deps = make([][]int, n)
-	t.serviceReaders = make([][]int, n)
+// acyclic engines, and the dependents-closures of the warm cones and of
+// the iterative engine's divergence localization (via the reverse
+// edges). The reverse demand map (demandReaders) is built in the same
+// pass.
+func buildDependencyGraph(s *System, t *Topology, infos []SchedulerInfo) {
+	n := len(t.refs)
+	t.deps = adjacency{start: make([]int, n+1), flat: make([]int, 0, 2*n)}
 	t.demandReaders = make([][]int, n)
-	seen := make([]int, n) // stamp array for dedup
+	// seen stamps the deps already added for the current id (dedup); the
+	// reverse-edge and level passes below reuse it as scratch.
+	seen := make([]int, n)
 	for i := range seen {
 		seen[i] = -1
 	}
+	add := func(id, dep int) {
+		if seen[dep] != id {
+			seen[dep] = id
+			t.deps.flat = append(t.deps.flat, dep)
+		}
+	}
 	for id, r := range t.refs {
-		add := func(dep int) {
-			if seen[dep] != id {
-				seen[dep] = id
-				t.deps[id] = append(t.deps[id], dep)
-			}
-		}
 		for _, pid := range t.jobPreds[id] {
-			add(pid)
+			add(id, pid)
 		}
-		// Unregistered schedulers (rejected by Validate) contribute no
-		// policy edges, keeping the index total on arbitrary systems.
-		info, _ := LookupScheduler(s.Procs[s.Subjob(r).Proc].Sched)
-		if info.ServiceDeps != nil {
-			for _, o := range info.ServiceDeps(s, t, r) {
-				oid := t.ID(o)
-				add(oid)
-				t.serviceReaders[oid] = append(t.serviceReaders[oid], id)
-			}
+		p := t.proc[id]
+		if pos := t.prioPos[id]; infos[p].HigherPriorityService && pos > 0 {
+			add(id, t.prioIDs[p][pos-1])
 		}
-		if info.DemandDeps != nil {
-			for _, o := range info.DemandDeps(s, t, r) {
+		if infos[p].DemandDeps != nil {
+			for _, o := range infos[p].DemandDeps(s, t, r) {
 				oid := t.ID(o)
 				for _, pid := range t.jobPreds[oid] {
-					add(pid)
+					add(id, pid)
 				}
 				if oid != id {
 					t.demandReaders[oid] = append(t.demandReaders[oid], id)
 				}
 			}
 		}
+		t.deps.start[id+1] = len(t.deps.flat)
 	}
-	t.dependents = make([][]int, n)
-	for id, ds := range t.deps {
-		for _, d := range ds {
-			t.dependents[d] = append(t.dependents[d], id)
+	// Reverse edges by counting sort: filling in ascending id keeps every
+	// dependents row ascending.
+	t.dependents = adjacency{start: make([]int, n+1), flat: make([]int, len(t.deps.flat))}
+	for _, d := range t.deps.flat {
+		t.dependents.start[d+1]++
+	}
+	for id := 0; id < n; id++ {
+		t.dependents.start[id+1] += t.dependents.start[id]
+	}
+	next := seen
+	copy(next, t.dependents.start[:n])
+	for id := 0; id < n; id++ {
+		for _, d := range t.deps.row(id) {
+			t.dependents.flat[next[d]] = id
+			next[d]++
 		}
 	}
 	// Level partition: level(id) = 1 + max level of its deps, computed by
-	// Kahn's algorithm. A non-empty remainder means a dependency cycle
-	// (physical or logical loop); levels stays valid for the leveled prefix
-	// and acyclic reports false.
+	// Kahn's algorithm — the longest path from a source, which the
+	// reduced edges preserve (a dropped edge d -> id is shadowed by the
+	// longer path d -> ... -> neighbor -> id). A non-empty remainder means
+	// a dependency cycle (physical or logical loop); levels stays valid
+	// for the leveled prefix (-1 marks the rest) and acyclic reports
+	// false.
 	level := make([]int, n)
-	indeg := make([]int, n)
-	for id, ds := range t.deps {
-		indeg[id] = len(ds)
+	indeg := seen
+	for id := range indeg {
+		indeg[id] = t.deps.start[id+1] - t.deps.start[id]
+		level[id] = -1
 	}
 	queue := make([]int, 0, n)
 	for id, d := range indeg {
@@ -438,32 +507,38 @@ func buildDependencyGraph(s *System, t *Topology, n int) {
 	for qi := 0; qi < len(queue); qi++ {
 		id := queue[qi]
 		l := 0
-		for _, d := range t.deps[id] {
-			if level[d]+1 > l {
-				l = level[d] + 1
-			}
+		for _, d := range t.deps.row(id) {
+			l = max(l, level[d]+1)
 		}
 		level[id] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
-		for _, dep := range t.dependents[id] {
+		maxLevel = max(maxLevel, l)
+		for _, dep := range t.dependents.row(id) {
 			if indeg[dep]--; indeg[dep] == 0 {
 				queue = append(queue, dep)
 			}
 		}
 	}
 	t.acyclic = len(queue) == n
-	t.levels = make([][]int, maxLevel+1)
-	leveled := make([]bool, n)
-	for _, id := range queue {
-		leveled[id] = true
+	// Bucket by counting sort, filling in ascending id order so the
+	// serial sweep order is deterministic and matches the (job, hop)
+	// numbering within a level.
+	levelStart := make([]int, maxLevel+2)
+	for _, l := range level {
+		if l >= 0 {
+			levelStart[l+1]++
+		}
 	}
-	// Fill buckets in ascending id order so the serial sweep order is
-	// deterministic and matches the (job, hop) numbering within a level.
-	for id := 0; id < n; id++ {
-		if leveled[id] {
-			t.levels[level[id]] = append(t.levels[level[id]], id)
+	for l := 0; l <= maxLevel; l++ {
+		levelStart[l+1] += levelStart[l]
+	}
+	flat := queue // same length; its order is no longer needed
+	t.levels = make([][]int, maxLevel+1)
+	for l := range t.levels {
+		t.levels[l] = flat[levelStart[l]:levelStart[l]:levelStart[l+1]]
+	}
+	for id, l := range level {
+		if l >= 0 {
+			t.levels[l] = append(t.levels[l], id)
 		}
 	}
 }
@@ -488,8 +563,7 @@ func (t *Topology) ByPriority(p int) []SubjobRef { return t.byPrio[p] }
 // PrioPos returns r's position in ByPriority of its processor. Because
 // HigherPriority is a strict total order with the (job, hop) tie-break and
 // ByPriority is sorted by it, ByPriority(p)[:PrioPos(r)] holds exactly the
-// strictly higher-priority subjobs of r (the set Higher returns, in
-// priority order).
+// strictly higher-priority subjobs of r (the view Higher returns).
 func (t *Topology) PrioPos(r SubjobRef) int { return t.prioPos[t.ID(r)] }
 
 // OnProcPos returns r's position in OnProc of its processor — the (job,
@@ -501,12 +575,13 @@ func (t *Topology) OnProcPos(r SubjobRef) int { return t.onProcPos[t.ID(r)] }
 func (t *Topology) Procs() int { return len(t.onProc) }
 
 // Higher returns the strictly higher-priority subjobs on r's processor in
-// (job, hop) order. Shared slice; do not mutate.
-func (t *Topology) Higher(r SubjobRef) []SubjobRef { return t.higher[t.ID(r)] }
-
-// Lower returns the strictly lower-priority subjobs on r's processor in
-// (job, hop) order. Shared slice; do not mutate.
-func (t *Topology) Lower(r SubjobRef) []SubjobRef { return t.lower[t.ID(r)] }
+// priority order: the ByPriority prefix before r. Shared slice; do not
+// mutate.
+func (t *Topology) Higher(r SubjobRef) []SubjobRef {
+	id := t.ID(r)
+	pos := t.prioPos[id]
+	return t.byPrio[t.proc[id]][:pos:pos]
+}
 
 // Blocking returns the cached Equation (15) blocking term of r.
 func (t *Topology) Blocking(r SubjobRef) Ticks { return t.blocking[t.ID(r)] }
@@ -514,26 +589,38 @@ func (t *Topology) Blocking(r SubjobRef) Ticks { return t.blocking[t.ID(r)] }
 // PCPBlocking returns the cached priority-ceiling blocking term of r.
 func (t *Topology) PCPBlocking(r SubjobRef) Ticks { return t.pcpBlocking[t.ID(r)] }
 
-// Ceilings returns the resource-to-priority-ceiling map. Shared map; do
-// not mutate.
+// Ceilings returns the resource-to-priority-ceiling map (nil when no
+// resources are declared). Shared map; do not mutate.
 func (t *Topology) Ceilings() map[int]int { return t.ceilings }
 
-// Deps returns the analysis prerequisites of subjob id: the ids whose
-// outputs (departure bounds or service bounds) feed id's computation. See
-// buildDependencyGraph for the edge definition. Shared slice; do not
-// mutate.
-func (t *Topology) Deps(id int) []int { return t.deps[id] }
+// Deps returns the analysis prerequisites of subjob id, up to
+// transitivity: every subjob whose outputs (departure bounds or service
+// bounds) feed id's computation is in Deps(id) or reachable from it
+// through further Deps edges. On a static-priority processor only the
+// immediate higher-priority neighbor is listed; the rest of the
+// higher-priority prefix precedes it in turn. Reachability, and thus
+// every dependents-closure, level and Kahn schedule, is that of the full
+// edge set. See buildDependencyGraph for the edge definition. Shared
+// slice; do not mutate.
+func (t *Topology) Deps(id int) []int { return t.deps.row(id) }
 
-// Dependents returns the reverse dependency edges of subjob id: the ids
-// that must be recomputed when id's outputs change. Shared slice; do not
-// mutate.
-func (t *Topology) Dependents(id int) []int { return t.dependents[id] }
+// Dependents returns the reverse Deps edges of subjob id, in ascending
+// id order. Their closure is the set of subjobs that must be recomputed
+// when id's outputs change. Shared slice; do not mutate.
+func (t *Topology) Dependents(id int) []int { return t.dependents.row(id) }
 
 // ServiceReaders returns the co-located subjobs whose analysis consumes
-// id's service bounds (the registry's ServiceDeps, reversed): under
-// static-priority scheduling these are exactly the lower-priority
-// neighbors. Shared slice; do not mutate.
-func (t *Topology) ServiceReaders(id int) []int { return t.serviceReaders[id] }
+// id's service bounds: on a processor whose discipline declares
+// HigherPriorityService (SPP/SPNP) exactly the strictly lower-priority
+// subjobs, as the ByPriority suffix after id (ids, in priority order);
+// nil elsewhere. Shared slice; do not mutate.
+func (t *Topology) ServiceReaders(id int) []int {
+	p := t.proc[id]
+	if !t.prefixService[p] {
+		return nil
+	}
+	return t.prioIDs[p][t.prioPos[id]+1:]
+}
 
 // DemandReaders returns the co-located subjobs (other than id itself)
 // whose analysis consumes id's arrival/demand curves (the registry's

@@ -7,10 +7,14 @@ package model_test
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
+	"rta/internal/benchsys"
 	"rta/internal/model"
+	"rta/internal/par"
 	"rta/internal/randsys"
 )
 
@@ -107,6 +111,26 @@ func sameRefs(a, b []model.SubjobRef) bool {
 	return true
 }
 
+// sortedRefs returns a (job, hop)-sorted copy, for set comparisons.
+func sortedRefs(rs []model.SubjobRef) []model.SubjobRef {
+	out := slices.Clone(rs)
+	slices.SortFunc(out, func(a, b model.SubjobRef) int {
+		if a.Job != b.Job {
+			return a.Job - b.Job
+		}
+		return a.Hop - b.Hop
+	})
+	return out
+}
+
+// readsHigherService reports whether the discipline of processor p takes
+// its interference from the strictly higher-priority subjobs' service
+// bounds (the static-priority disciplines).
+func readsHigherService(sys *model.System, p int) bool {
+	s := sys.Procs[p].Sched
+	return s == model.SPP || s == model.SPNP
+}
+
 func checkAgainstBrute(t *testing.T, sys *model.System, label string) {
 	t.Helper()
 	topo := sys.Topology()
@@ -129,11 +153,18 @@ func checkAgainstBrute(t *testing.T, sys *model.System, label string) {
 		for j := range sys.Jobs[k].Subjobs {
 			r := model.SubjobRef{Job: k, Hop: j}
 			hi, lo, blocking, pcp := bruteNeighbors(sys, r)
-			if !sameRefs(topo.Higher(r), hi) {
-				t.Fatalf("%s: Higher(%v) = %v, want %v", label, r, topo.Higher(r), hi)
+			if got := sortedRefs(topo.Higher(r)); !sameRefs(got, hi) {
+				t.Fatalf("%s: Higher(%v) = %v, want the set %v", label, r, topo.Higher(r), hi)
 			}
-			if !sameRefs(topo.Lower(r), lo) {
-				t.Fatalf("%s: Lower(%v) = %v, want %v", label, r, topo.Lower(r), lo)
+			var readers []model.SubjobRef
+			for _, id := range topo.ServiceReaders(topo.ID(r)) {
+				readers = append(readers, topo.Subjobs()[id])
+			}
+			if !readsHigherService(sys, sys.Subjob(r).Proc) {
+				lo = nil
+			}
+			if got := sortedRefs(readers); !sameRefs(got, lo) {
+				t.Fatalf("%s: ServiceReaders(%v) = %v, want the set %v", label, r, readers, lo)
 			}
 			if got := topo.Blocking(r); got != blocking {
 				t.Fatalf("%s: Blocking(%v) = %d, want %d", label, r, got, blocking)
@@ -155,31 +186,40 @@ func checkAgainstBrute(t *testing.T, sys *model.System, label string) {
 	}
 }
 
+// drawShape draws a chain system on even trials and a fork-join one on
+// odd trials, over every registered discipline (SPP, SPNP, FCFS, TDMA).
+// The default config draws 4 priority levels, so ties are common.
+func drawShape(r *rand.Rand, trial int, cfg randsys.Config) *model.System {
+	cfg.Schedulers = randsys.MixedSchedulers()
+	if trial%2 == 1 {
+		return randsys.ForkJoin(r, cfg)
+	}
+	return randsys.New(r, cfg)
+}
+
 // TestTopologyMatchesBruteForce: the index agrees with the brute-force
-// scans on random systems of every scheduler mix, with and without
-// shared resources.
+// scans on random chain and fork-join systems of every scheduler mix,
+// with and without shared resources.
 func TestTopologyMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	cfg := randsys.Default
-	cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
-	for trial := 0; trial < 150; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		cfg.Resources = trial % 3 // 0 disables critical sections
-		sys := randsys.New(r, cfg)
-		checkAgainstBrute(t, sys, "fresh")
+		checkAgainstBrute(t, drawShape(r, trial, cfg), "fresh")
 	}
 }
 
 // TestTopologyInvalidatesOnMutation: in-place edits of the
-// topology-relevant fields (priority, processor, execution time, critical
-// sections) are picked up by the next query without any explicit
+// topology-relevant fields (priority, processor, execution time,
+// scheduler) are picked up by the next query without any explicit
 // invalidation call.
 func TestTopologyInvalidatesOnMutation(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	cfg := randsys.Default
-	cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
 	cfg.Resources = 2
-	for trial := 0; trial < 80; trial++ {
-		sys := randsys.New(r, cfg)
+	scheds := model.RegisteredSchedulers()
+	for trial := 0; trial < 100; trial++ {
+		sys := drawShape(r, trial, cfg)
 		checkAgainstBrute(t, sys, "pre-mutation")
 		refs := allRefs(sys)
 		for step := 0; step < 4; step++ {
@@ -193,7 +233,7 @@ func TestTopologyInvalidatesOnMutation(t *testing.T) {
 			case 2:
 				sj.Exec += model.Ticks(1 + r.Intn(5))
 			case 3:
-				sys.Procs[r.Intn(len(sys.Procs))].Sched = model.Scheduler(r.Intn(3))
+				sys.Procs[r.Intn(len(sys.Procs))].Sched = scheds[r.Intn(len(scheds))]
 			}
 			checkAgainstBrute(t, sys, "post-mutation")
 		}
@@ -215,10 +255,11 @@ func TestTopologyCachedPointer(t *testing.T) {
 	}
 }
 
-// bruteDeps recomputes the analysis dependency edges of subjob id: the
-// previous hop, plus per-scheduler interference inputs (higher-priority
-// service bounds on SPP/SPNP, co-located predecessors' departures on
-// FCFS).
+// bruteDeps recomputes the full (unreduced) analysis dependency edges of
+// subjob id: its precedence predecessors, plus per-scheduler interference
+// inputs (every strictly higher-priority subjob's service bounds on
+// SPP/SPNP, every co-located subjob's predecessors' departures on FCFS,
+// nothing on TDMA).
 func bruteDeps(sys *model.System, topo *model.Topology, id int) []int {
 	r := topo.Subjobs()[id]
 	set := map[int]bool{}
@@ -229,8 +270,20 @@ func bruteDeps(sys *model.System, topo *model.Topology, id int) []int {
 			out = append(out, d)
 		}
 	}
-	if r.Hop > 0 {
-		add(id - 1)
+	preds := func(o model.SubjobRef) []int {
+		var ps []int
+		base := topo.ID(o) - o.Hop
+		if job := &sys.Jobs[o.Job]; len(job.Precedence) > 0 {
+			for _, p := range job.Precedence[o.Hop] {
+				ps = append(ps, base+p)
+			}
+		} else if o.Hop > 0 {
+			ps = append(ps, base+o.Hop-1)
+		}
+		return ps
+	}
+	for _, d := range preds(r) {
+		add(d)
 	}
 	proc := sys.Subjob(r).Proc
 	switch sys.Procs[proc].Sched {
@@ -242,8 +295,8 @@ func bruteDeps(sys *model.System, topo *model.Topology, id int) []int {
 		}
 	case model.FCFS:
 		for _, o := range bruteOnProc(sys, proc) {
-			if o.Hop > 0 {
-				add(topo.ID(o) - 1)
+			for _, d := range preds(o) {
+				add(d)
 			}
 		}
 	}
@@ -262,25 +315,103 @@ func sameInts(a, b []int) bool {
 	return true
 }
 
-// TestTopologyDependencyGraph: Deps matches the brute-force edge
-// definition, Dependents is its exact transpose, and the level partition
-// is a valid topological schedule (every dependency strictly earlier).
+// reach returns, per node, the set of nodes reachable from it over one
+// or more edges.
+func reach(n int, edges func(id int) []int) [][]bool {
+	out := make([][]bool, n)
+	for src := 0; src < n; src++ {
+		seen := make([]bool, n)
+		stack := slices.Clone(edges(src))
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, edges(v)...)
+			}
+		}
+		out[src] = seen
+	}
+	return out
+}
+
+// bruteLevels is Kahn's longest-path level partition over the given
+// edges, ids ascending within a level.
+func bruteLevels(n int, deps, dependents func(id int) []int) ([][]int, bool) {
+	indeg := make([]int, n)
+	level := make([]int, n)
+	var queue []int
+	for id := 0; id < n; id++ {
+		if indeg[id] = len(deps(id)); indeg[id] == 0 {
+			queue = append(queue, id)
+		}
+	}
+	var levels [][]int
+	for qi := 0; qi < len(queue); qi++ {
+		id := queue[qi]
+		for _, d := range deps(id) {
+			level[id] = max(level[id], level[d]+1)
+		}
+		for len(levels) <= level[id] {
+			levels = append(levels, nil)
+		}
+		levels[level[id]] = append(levels[level[id]], id)
+		for _, o := range dependents(id) {
+			if indeg[o]--; indeg[o] == 0 {
+				queue = append(queue, o)
+			}
+		}
+	}
+	for _, l := range levels {
+		slices.Sort(l)
+	}
+	return levels, len(queue) == n
+}
+
+// serialOrder records par's serial (one-worker) visit order over the
+// given edges: over every node when ids is nil, else over the induced
+// subgraph of ids.
+func serialOrder(n int, ids []int, deps, dependents func(id int) []int) ([]int, bool) {
+	var order []int
+	visit := func(id int) { order = append(order, id) }
+	var err error
+	if ids == nil {
+		err = par.Run(nil, n, deps, dependents, 1, visit)
+	} else {
+		err = par.RunSubset(nil, ids, deps, dependents, 1, visit)
+	}
+	return order, err == nil
+}
+
+// TestTopologyDependencyGraph: Deps is a transitive reduction of the
+// brute-force edge definition — a subset of the full edges with the same
+// reachability — Dependents is its exact transpose (rows ascending), the
+// level partition equals the full graph's, and par's serial visit order
+// over the reduced edges equals its order over the full edges, both over
+// every subjob and over a dependents-closed cone listed in random order
+// (the warm sessions' sweep). Chain and fork-join shapes, every
+// discipline, with and without physical loops.
 func TestTopologyDependencyGraph(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	cfg := randsys.Default
-	cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
-	for trial := 0; trial < 150; trial++ {
-		cfg.Loops = trial%2 == 1
-		sys := randsys.New(r, cfg)
+	for trial := 0; trial < 200; trial++ {
+		cfg.Loops = trial%4 >= 2
+		cfg.Resources = trial % 3
+		sys := drawShape(r, trial, cfg)
 		topo := sys.Topology()
 		n := len(topo.Subjobs())
+		full := make([][]int, n)
+		fullRev := make([][]int, n)
 		rev := make([][]int, n)
 		for id := 0; id < n; id++ {
-			want := bruteDeps(sys, topo, id)
-			if got := topo.Deps(id); !sameInts(got, want) {
-				t.Fatalf("trial %d: Deps(%d) = %v, want %v", trial, id, got, want)
+			full[id] = bruteDeps(sys, topo, id)
+			for _, d := range full[id] {
+				fullRev[d] = append(fullRev[d], id)
 			}
-			for _, d := range want {
+			for _, d := range topo.Deps(id) {
+				if !slices.Contains(full[id], d) {
+					t.Fatalf("trial %d: Deps(%d) = %v has %d, not in the full edges %v", trial, id, topo.Deps(id), d, full[id])
+				}
 				rev[d] = append(rev[d], id)
 			}
 		}
@@ -289,35 +420,87 @@ func TestTopologyDependencyGraph(t *testing.T) {
 				t.Fatalf("trial %d: Dependents(%d) = %v, want %v", trial, id, got, rev[id])
 			}
 		}
-		levels, acyclic := topo.Levels()
-		levelOf := make([]int, n)
-		for i := range levelOf {
-			levelOf[i] = -1 // unleveled (on a cycle)
-		}
-		covered := 0
-		for l, ids := range levels {
-			for i, id := range ids {
-				if i > 0 && ids[i-1] >= id {
-					t.Fatalf("trial %d: level %d not ascending: %v", trial, l, ids)
-				}
-				levelOf[id] = l
-				covered++
-			}
-		}
-		if acyclic != (covered == n) {
-			t.Fatalf("trial %d: acyclic = %v but %d/%d subjobs leveled", trial, acyclic, covered, n)
-		}
+		fullDeps := func(id int) []int { return full[id] }
+		fullDependents := func(id int) []int { return fullRev[id] }
+		gotReach, wantReach := reach(n, topo.Deps), reach(n, fullDeps)
 		for id := 0; id < n; id++ {
-			if levelOf[id] < 0 {
-				continue
-			}
-			for _, d := range topo.Deps(id) {
-				if levelOf[d] < 0 || levelOf[d] >= levelOf[id] {
-					t.Fatalf("trial %d: dep %d (level %d) not before %d (level %d)",
-						trial, d, levelOf[d], id, levelOf[id])
-				}
+			if !slices.Equal(gotReach[id], wantReach[id]) {
+				t.Fatalf("trial %d: subjob %d reaches %v over Deps, %v over the full edges", trial, id, gotReach[id], wantReach[id])
 			}
 		}
+		levels, acyclic := topo.Levels()
+		wantLevels, wantAcyclic := bruteLevels(n, fullDeps, fullDependents)
+		if acyclic != wantAcyclic || len(levels) != len(wantLevels) {
+			t.Fatalf("trial %d: Levels() = %v (acyclic %v), want %v (acyclic %v)", trial, levels, acyclic, wantLevels, wantAcyclic)
+		}
+		for l := range levels {
+			if !sameInts(levels[l], wantLevels[l]) {
+				t.Fatalf("trial %d: level %d = %v, want %v", trial, l, levels[l], wantLevels[l])
+			}
+		}
+		got, gotOK := serialOrder(n, nil, topo.Deps, topo.Dependents)
+		want, wantOK := serialOrder(n, nil, fullDeps, fullDependents)
+		if !sameInts(got, want) || gotOK != wantOK {
+			t.Fatalf("trial %d: serial order %v (ok %v) over Deps, %v (ok %v) over the full edges", trial, got, gotOK, want, wantOK)
+		}
+		// A cone: the dependents-closure of a few random seeds, listed in
+		// random order.
+		inCone := make([]bool, n)
+		var cone []int
+		for s := 0; s < 2 && n > 0; s++ {
+			cone = append(cone, r.Intn(n))
+		}
+		for qi := 0; qi < len(cone); qi++ {
+			if id := cone[qi]; !inCone[id] {
+				inCone[id] = true
+				cone = append(cone, fullRev[id]...)
+			}
+		}
+		ids := make([]int, 0, len(cone))
+		for id, in := range inCone {
+			if in {
+				ids = append(ids, id)
+			}
+		}
+		r.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
+		got, gotOK = serialOrder(n, ids, topo.Deps, topo.Dependents)
+		want, wantOK = serialOrder(n, ids, fullDeps, fullDependents)
+		if !sameInts(got, want) || gotOK != wantOK {
+			t.Fatalf("trial %d: cone %v: serial order %v (ok %v) over Deps, %v (ok %v) over the full edges", trial, ids, got, gotOK, want, wantOK)
+		}
+	}
+}
+
+// TestTopologyBuildAllocs bounds the cost of one index build of the
+// 50x8 benchmark shop: the build is linear in subjobs + processors, so
+// it stays far below the ~12,000 allocations and ~1.7 MB that per-subjob
+// neighbor lists cost.
+func TestTopologyBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation forces spurious heap allocations")
+	}
+	const (
+		maxAllocs = 2000
+		maxBytes  = 400 << 10
+		builds    = 20
+	)
+	sys := benchsys.Large(benchsys.Jobs, benchsys.Hops, benchsys.Instances, model.SPNP)
+	sj := sys.Subjob(model.SubjobRef{Job: 0, Hop: 0})
+	sys.Topology()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		sj.Exec++ // a fresh fingerprint: every query rebuilds
+		sys.Topology()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / builds
+	bytes := (after.TotalAlloc - before.TotalAlloc) / builds
+	t.Logf("one build: %d allocs, %d bytes", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Fatalf("one topology build of benchsys.Large: %d allocs, %d bytes; want <= %d allocs, <= %d bytes",
+			allocs, bytes, maxAllocs, maxBytes)
 	}
 }
 

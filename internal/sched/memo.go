@@ -32,8 +32,8 @@ import (
 // so concurrent subjob evaluations share one computation and observe it
 // with a happens-before edge. The accessor callbacks read only inputs that
 // the dependency schedule has already finalized (position i's chain needs
-// the services of positions < i, which are dependencies of every subjob
-// that can request it), so a Memo must only be used by engines that
+// the services of positions < i, which every subjob that can request it
+// depends on, transitively), so a Memo must only be used by engines that
 // evaluate subjobs in dependency order with all inputs final — the
 // iterative engine's provisional sweeps must pass Memo == nil.
 //

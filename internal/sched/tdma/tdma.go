@@ -173,11 +173,11 @@ func init() {
 		Sched:        Sched,
 		Name:         "TDMA",
 		ValidateProc: validateProc,
-		// No ServiceDeps/DemandDeps: the slot schedule is independent of
-		// the co-located workload, so a TDMA subjob's only analysis input
-		// is its own previous hop. The slot *assignment* does depend on the
-		// OnProc position, which PositionDependent exposes to delta
-		// re-analysis.
+		// No HigherPriorityService/DemandDeps: the slot schedule is
+		// independent of the co-located workload, so a TDMA subjob's only
+		// analysis input is its own previous hop. The slot *assignment*
+		// does depend on the OnProc position, which PositionDependent
+		// exposes to delta re-analysis.
 		PositionDependent: true,
 	})
 	sched.Register(policy{})

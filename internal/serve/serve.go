@@ -440,7 +440,8 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.counters.admitsDenied.Add(1)
 	}
-	s.reply(w, http.StatusOK, admitResponse{Admitted: ok, Jobs: len(t.ctl.Admitted())})
+	jobs, _ := t.ctl.Stats()
+	s.reply(w, http.StatusOK, admitResponse{Admitted: ok, Jobs: jobs})
 }
 
 // removeRequest / removeResponse are the removal bodies.
@@ -595,8 +596,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	ntenants := len(s.tenants)
 	jobs := 0
+	var warmth analysis.SessionStats
 	for _, t := range s.tenants {
-		jobs += len(t.ctl.Admitted())
+		n, st := t.ctl.Stats()
+		jobs += n
+		warmth.DeltaConverges += st.DeltaConverges
+		warmth.ColdConverges += st.ColdConverges
+		warmth.EarlyRejects += st.EarlyRejects
 	}
 	s.mu.RUnlock()
 
@@ -614,6 +620,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ClientErrors:   s.counters.clientErrors.Load(),
 		ServerErrors:   s.counters.serverErrors.Load(),
 		Evictions:      s.counters.evictions.Load(),
+		DeltaConverges: warmth.DeltaConverges,
+		ColdConverges:  warmth.ColdConverges,
+		EarlyRejects:   warmth.EarlyRejects,
 		DecisionCount:  count,
 		DecisionMeanNs: mean,
 		DecisionP50Ns:  s.decHist.quantileNs(0.50),

@@ -153,6 +153,49 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerStatsWarmth: /stats serves the sessions' warmth counters.
+// Churning one tenant (remove and re-admit a job) re-converges only the
+// dirty cone, so delta_converges grows with every decision while
+// cold_converges stays flat.
+func TestServerStatsWarmth(t *testing.T) {
+	_, ts := newTestServer(t, Config{Policy: admission.DeadlineMonotonic})
+	createTenant(t, ts.URL, "acme")
+	admit := func(name string) {
+		t.Helper()
+		status, raw := doReq(t, http.MethodPost, ts.URL+"/v1/tenants/acme/admit", jobJSON(t, name, 100, 10_000))
+		var adm admitResponse
+		if status != http.StatusOK || json.Unmarshal(raw, &adm) != nil || !adm.Admitted {
+			t.Fatalf("admit %s: status %d: %s", name, status, raw)
+		}
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		admit(name)
+	}
+	before := getStats(t, ts.URL)
+	const cycles = 5
+	rm, _ := json.Marshal(removeRequest{Name: "b"})
+	for i := 0; i < cycles; i++ {
+		status, raw := doReq(t, http.MethodPost, ts.URL+"/v1/tenants/acme/remove", rm)
+		if status != http.StatusOK {
+			t.Fatalf("remove: status %d: %s", status, raw)
+		}
+		admit("b")
+	}
+	after := getStats(t, ts.URL)
+	if after.AdmittedJobs != 3 {
+		t.Fatalf("admitted_jobs = %d, want 3", after.AdmittedJobs)
+	}
+	if after.ColdConverges != before.ColdConverges {
+		t.Fatalf("cold_converges %d -> %d across warm churn, want flat", before.ColdConverges, after.ColdConverges)
+	}
+	if got := after.DeltaConverges - before.DeltaConverges; got < 2*cycles {
+		t.Fatalf("delta_converges grew by %d over %d decisions, want >= %d", got, 2*cycles, 2*cycles)
+	}
+	if after.EarlyRejects != 0 {
+		t.Fatalf("early_rejects = %d, want 0 (every churn decision is feasible)", after.EarlyRejects)
+	}
+}
+
 func TestServerCreateValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxTenants: 1})
 

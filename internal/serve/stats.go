@@ -115,6 +115,15 @@ type StatsSnapshot struct {
 	// Evictions counts tenants dropped by the idle-TTL janitor.
 	Evictions uint64 `json:"evictions"`
 
+	// Warm-path health, summed over the live tenants' analysis sessions:
+	// converges that re-ran only the dirty cone, converges that analyzed
+	// a whole system from scratch, and decisions stopped at the first
+	// proven deadline miss. Cold converges growing with churn mean the
+	// warm path has decayed.
+	DeltaConverges int64 `json:"delta_converges"`
+	ColdConverges  int64 `json:"cold_converges"`
+	EarlyRejects   int64 `json:"early_rejects"`
+
 	// Decision latency (admit/remove round trips inside the handler),
 	// from the log2 histogram: quantiles are bucket upper bounds.
 	DecisionCount  uint64       `json:"decision_count"`

@@ -65,8 +65,8 @@ func Analyze(sys *model.System) (*Result, error) {
 }
 
 // AnalyzeWith is Analyze on a bounded worker pool and under fault
-// containment. The subjob graph (precedence predecessors plus
-// higher-priority neighbors; see model.Topology.Deps) is swept by
+// containment. The subjob graph (precedence predecessors plus the
+// immediate higher-priority neighbor; see model.Topology.Deps) is swept by
 // par.Run's dependency-counter work queue, each subjob becoming ready the
 // moment its last prerequisite finishes, so the output is field-identical
 // for every worker count. ctx cancels the sweep between subjob

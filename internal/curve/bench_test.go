@@ -87,3 +87,50 @@ func BenchmarkCompletionTimesLarge(b *testing.B) {
 		f.CompletionTimes(2, 2000)
 	}
 }
+
+// benchNPInputs builds a Theorem 5/6 scenario on the benchStaircase
+// inputs: a large demand staircase and two higher-priority interferers
+// whose service is the utilization of their own staircases.
+func benchNPInputs() (demand *Curve, interf []*Curve) {
+	return benchStaircase(2000, 1), []*Curve{
+		Utilization(benchStaircase(1000, 5)),
+		Utilization(benchStaircase(1000, 6)),
+	}
+}
+
+func BenchmarkMinLowerLarge(b *testing.B) {
+	f := Utilization(benchStaircase(2000, 1)).f
+	g := benchStaircase(2000, 2).f
+	sc := GetScratch()
+	defer PutScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.minLowerIn(sc, g)
+		sc.Reset()
+	}
+}
+
+func BenchmarkUpperServiceNPLarge(b *testing.B) {
+	demand, interf := benchNPInputs()
+	sc := GetScratch()
+	defer PutScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		UpperServiceNPIn(sc, interf, interf, demand)
+		sc.Reset()
+	}
+}
+
+func BenchmarkLowerServiceNPLarge(b *testing.B) {
+	demand, interf := benchNPInputs()
+	sc := GetScratch()
+	defer PutScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		LowerServiceNPIn(sc, 3, interf, interf, demand)
+		sc.Reset()
+	}
+}

@@ -56,17 +56,12 @@ func StaircaseIn(sc *Scratch, jumps []Time, height Value) *Curve {
 	if height <= 0 {
 		panic("curve: staircase height must be positive")
 	}
+	checkJumps(jumps)
 	pts := sc.take(2*len(jumps) + 1)
 	pts = append(pts, Point{0, 0})
 	level := Value(0)
 	for i := 0; i < len(jumps); {
 		t := jumps[i]
-		if t < 0 {
-			panic("curve: negative release time")
-		}
-		if i > 0 && t < jumps[i-1] {
-			panic("curve: release times not sorted")
-		}
 		j := i
 		for j < len(jumps) && jumps[j] == t {
 			j++
@@ -79,6 +74,19 @@ func StaircaseIn(sc *Scratch, jumps []Time, height Value) *Curve {
 		i = j
 	}
 	return &Curve{canonIn(sc, pts, 0)}
+}
+
+// checkJumps panics unless jumps is a valid staircase jump list: sorted
+// ascending and non-negative.
+func checkJumps(jumps []Time) {
+	for i, t := range jumps {
+		if t < 0 {
+			panic("curve: negative release time")
+		}
+		if i > 0 && t < jumps[i-1] {
+			panic("curve: release times not sorted")
+		}
+	}
 }
 
 // Clone returns a heap-backed copy of the curve. It is the persistence
@@ -122,27 +130,12 @@ func (c *Curve) EvalLeft(t Time) Value { return c.f.evalLeft(t) }
 // never completing instance y). For an arrival staircase, Inverse(m) is the
 // release time of the m-th instance (Equation 3).
 func (c *Curve) Inverse(y Value) Time {
+	// Start a cursor at the first breakpoint with value >= y; the value is
+	// first reached either at that breakpoint (jump) or on the unit-slope
+	// segment leading to it.
 	pts := c.f.pts
-	if pts[0].Y >= y {
-		return 0
-	}
-	// First breakpoint with value >= y; the value is first reached either
-	// at that breakpoint (jump) or on the unit-slope segment leading to it.
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].Y >= y })
-	if i == len(pts) {
-		last := pts[len(pts)-1]
-		if c.f.tail <= 0 {
-			return Inf
-		}
-		return last.X + (y - last.Y) // tail slope is 1
-	}
-	p, q := pts[i-1], pts[i]
-	if q.X > p.X && q.Y-p.Y == q.X-p.X {
-		// Unit-slope segment: crossed exactly at an integer time.
-		return p.X + (y - p.Y)
-	}
-	// Jump at q.X (a flat segment cannot raise the value to y).
-	return q.X
+	cur := inverseCursor{f: c.f, i: sort.Search(len(pts), func(i int) bool { return pts[i].Y >= y })}
+	return cur.inverse(y)
 }
 
 // Add returns the pointwise sum of curves, e.g. the total workload G of
@@ -230,7 +223,7 @@ func (c *Curve) FloorDiv(tau Value) *Curve {
 		panic("curve: FloorDiv with non-positive execution time")
 	}
 	var jumps []Time
-	cur := inverseCursor{f: &c.f}
+	cur := inverseCursor{f: c.f}
 	for m := Value(1); ; m++ {
 		t := cur.inverse(m * tau)
 		if IsInf(t) {
@@ -260,7 +253,7 @@ func (c *Curve) FloorDiv(tau Value) *Curve {
 // service curve. Entries are Inf for instances that are never completed.
 func (c *Curve) CompletionTimes(tau Value, n int) []Time {
 	out := make([]Time, n)
-	cur := inverseCursor{f: &c.f}
+	cur := inverseCursor{f: c.f}
 	for m := 0; m < n; m++ {
 		out[m] = cur.inverse(Value(m+1) * tau)
 	}
@@ -273,34 +266,44 @@ func (c *Curve) CompletionTimes(tau Value, n int) []Time {
 // sweep over n levels costs O(n + breakpoints) instead of a fresh binary
 // search per level.
 type inverseCursor struct {
-	f *pl
+	f pl
 	i int // first index with pts[i].Y >= previous query level
 }
 
-// inverse returns min{ s >= 0 : f(s) >= y }. Levels must be queried in
-// non-decreasing order.
+// inverse returns min{ s >= 0 : f(s) >= y }, or Inf when f never reaches
+// y. Levels must be queried in non-decreasing order.
 func (c *inverseCursor) inverse(y Value) Time {
+	t, ok := c.reach(y)
+	if !ok {
+		return Inf
+	}
+	return t
+}
+
+// reach is inverse with ok=false, instead of Inf, for a level f never
+// reaches.
+func (c *inverseCursor) reach(y Value) (Time, bool) {
 	pts := c.f.pts
 	for c.i < len(pts) && pts[c.i].Y < y {
 		c.i++
 	}
 	if c.i == 0 {
-		return 0
+		return 0, true
 	}
 	if c.i == len(pts) {
 		last := pts[len(pts)-1]
 		if c.f.tail <= 0 {
-			return Inf
+			return 0, false
 		}
-		return last.X + (y - last.Y) // tail slope is 1
+		return last.X + (y - last.Y), true // tail slope is 1
 	}
 	p, q := pts[c.i-1], pts[c.i]
 	if q.X > p.X && q.Y-p.Y == q.X-p.X {
 		// Unit-slope segment: crossed exactly at an integer time.
-		return p.X + (y - p.Y)
+		return p.X + (y - p.Y), true
 	}
 	// Jump at q.X (a flat segment cannot raise the value to y).
-	return q.X
+	return q.X, true
 }
 
 // JumpTimes returns the jump times of a staircase curve, with multiplicity

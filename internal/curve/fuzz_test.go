@@ -100,3 +100,56 @@ func FuzzCurveOps(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEvalCursor builds a curve with the FuzzCurveOps constructors
+// (staircases, and their sums and minima) plus a non-decreasing query
+// list from the fuzz bytes, and checks that an evaluation cursor walked
+// over the queries answers exactly Eval and EvalLeft. Run with
+//
+//	go test -fuzz FuzzEvalCursor ./internal/curve
+func FuzzEvalCursor(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{255, 255, 1, 2, 255, 0, 3, 128, 7, 0, 0, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			v := data[0]
+			data = data[1:]
+			return v
+		}
+		stair := func() *Curve {
+			n := int(next() % 6)
+			jumps := make([]Time, 0, n)
+			cum := Time(0)
+			for i := 0; i < n; i++ {
+				cum += Time(next() % 64)
+				jumps = append(jumps, cum)
+			}
+			return Staircase(jumps, Value(next()%8)+1)
+		}
+		c := stair()
+		switch next() % 4 {
+		case 1:
+			c = Sum(c, stair())
+		case 2:
+			c = c.Min(stair())
+		case 3:
+			// A continuous service-shaped curve with a unit tail.
+			c = Utilization(c)
+		}
+		cur := evalCursor{f: c.f}
+		x := Time(0)
+		for len(data) > 0 {
+			x += Time(next() % 16) // zero steps repeat a query time
+			if got, want := cur.left(x), c.EvalLeft(x); got != want {
+				t.Fatalf("left(%d) = %d, EvalLeft = %d on %v", x, got, want, c)
+			}
+			if got, want := cur.right(x), c.Eval(x); got != want {
+				t.Fatalf("right(%d) = %d, Eval = %d on %v", x, got, want, c)
+			}
+		}
+	})
+}

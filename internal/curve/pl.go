@@ -20,7 +20,9 @@ import (
 //     and the slope (Y2-Y1)/(X2-X1) is an integer;
 //   - tail is the slope after the last point.
 //
-// Evaluation is right-continuous; evalLeft gives left limits.
+// Evaluation is right-continuous; evalLeft gives left limits. Both
+// binary-search for their query time; a sweep whose query times never
+// decrease reads through an evalCursor in amortized O(1) per query.
 //
 // Most constructors take an optional *Scratch (nil = heap): a non-nil
 // scratch marks the result as an intermediate whose breakpoints live in
@@ -82,19 +84,15 @@ func (f pl) lastIdxAtOrBefore(t Time) int {
 	return i - 1
 }
 
-// evalRight returns f(t) (right-continuous value). t must be >= 0.
+// evalRight returns f(t) (right-continuous value). t must be >= 0. It
+// binary-searches for t; sweeps whose query times never decrease use an
+// evalCursor instead.
 func (f pl) evalRight(t Time) Value {
 	i := f.lastIdxAtOrBefore(t)
 	if i < 0 {
 		panic(fmt.Sprintf("curve: evalRight(%d) before domain start", t))
 	}
-	p := f.pts[i]
-	if i+1 < len(f.pts) {
-		q := f.pts[i+1]
-		slope := (q.Y - p.Y) / (q.X - p.X)
-		return p.Y + slope*(t-p.X)
-	}
-	return p.Y + f.tail*(t-p.X)
+	return f.rightAt(i, t)
 }
 
 // evalLeft returns the left limit lim_{s -> t-} f(s). For t == 0 it returns
@@ -103,16 +101,100 @@ func (f pl) evalLeft(t Time) Value {
 	if t <= 0 {
 		return f.evalRight(0)
 	}
-	i := f.lastIdxAtOrBefore(t)
+	return f.leftAt(f.lastIdxAtOrBefore(t), t)
+}
+
+// rightAt returns f(t) given i, the index of the last point with X <= t:
+// the segment leaving pts[i] (or the tail past the last point) holds t.
+func (f pl) rightAt(i int, t Time) Value {
 	p := f.pts[i]
-	if p.X == t {
+	if i+1 < len(f.pts) {
+		q := f.pts[i+1]
+		return p.Y + (q.Y-p.Y)/(q.X-p.X)*(t-p.X)
+	}
+	return p.Y + f.tail*(t-p.X)
+}
+
+// leftAt returns the left limit at t > 0 given i, the index of the last
+// point with X <= t.
+func (f pl) leftAt(i int, t Time) Value {
+	if p := f.pts[i]; p.X == t {
 		// Use the first point at X == t: it carries the left limit.
 		if i > 0 && f.pts[i-1].X == t {
 			return f.pts[i-1].Y
 		}
 		return p.Y
 	}
-	return f.evalRight(t)
+	return f.rightAt(i, t)
+}
+
+// evalCursor evaluates f at a non-decreasing sequence of query times in
+// amortized O(1) per query, the point-evaluation sibling of inverseCursor:
+// the index of the last breakpoint at or before the query only moves
+// forward, so a sweep of n queries costs O(n + breakpoints) instead of a
+// binary search per query. right and left have exactly the semantics of
+// evalRight and evalLeft, and may be mixed at the same time. A query
+// earlier than the previous one is still answered exactly, by restarting
+// with a binary search; the package's sweeps never issue one.
+type evalCursor struct {
+	f pl
+	i int // index of the last breakpoint at or before the previous query
+}
+
+// seek moves the cursor to the last breakpoint at or before t.
+func (c *evalCursor) seek(t Time) {
+	if t < c.f.pts[c.i].X {
+		if c.i = c.f.lastIdxAtOrBefore(t); c.i < 0 {
+			panic(fmt.Sprintf("curve: evalRight(%d) before domain start", t))
+		}
+	}
+	for c.i+1 < len(c.f.pts) && c.f.pts[c.i+1].X <= t {
+		c.i++
+	}
+}
+
+// right returns f(t), like evalRight.
+func (c *evalCursor) right(t Time) Value {
+	c.seek(t)
+	return c.f.rightAt(c.i, t)
+}
+
+// left returns the left limit of f at t, like evalLeft.
+func (c *evalCursor) left(t Time) Value {
+	if t <= 0 {
+		return c.right(0)
+	}
+	c.seek(t)
+	return c.f.leftAt(c.i, t)
+}
+
+// xMerge walks the sorted union of the breakpoint X coordinates of two
+// pls, each distinct X once, without materializing the merged list.
+type xMerge struct {
+	a, b []Point
+	i, j int
+}
+
+// next returns the next X of the union, or ok=false when both lists are
+// exhausted.
+func (m *xMerge) next() (x Time, ok bool) {
+	if m.i == len(m.a) && m.j == len(m.b) {
+		return 0, false
+	}
+	x = Inf
+	if m.i < len(m.a) {
+		x = m.a[m.i].X
+	}
+	if m.j < len(m.b) && m.b[m.j].X < x {
+		x = m.b[m.j].X
+	}
+	for m.i < len(m.a) && m.a[m.i].X == x {
+		m.i++
+	}
+	for m.j < len(m.b) && m.b[m.j].X == x {
+		m.j++
+	}
+	return x, true
 }
 
 // canon normalises a list of points produced by an operation into a
@@ -185,33 +267,6 @@ func canonIn(sc *Scratch, pts []Point, tail int64) pl {
 		}
 	}
 	return pl{pts: out, tail: tail}
-}
-
-// mergedXs returns the sorted union of breakpoint X coordinates of a and
-// b, without duplicates, carved from sc (nil = heap). The coordinates are
-// stored in the X fields of a Point buffer so they can live in the arena
-// without an unsafe cast; the Y fields are unused.
-func mergedXs(sc *Scratch, a, b pl) []Point {
-	buf := sc.take(len(a.pts) + len(b.pts))
-	i, j := 0, 0
-	var last Time = -1
-	push := func(x Time) {
-		if len(buf) == 0 || x != last {
-			buf = append(buf, Point{X: x})
-			last = x
-		}
-	}
-	for i < len(a.pts) || j < len(b.pts) {
-		switch {
-		case j >= len(b.pts) || (i < len(a.pts) && a.pts[i].X <= b.pts[j].X):
-			push(a.pts[i].X)
-			i++
-		default:
-			push(b.pts[j].X)
-			j++
-		}
-	}
-	return buf
 }
 
 // sumCursor walks one summand of sumIn left to right. i is the index of
@@ -729,10 +784,11 @@ func (f pl) clampMaxIn(sc *Scratch, v Value) pl {
 func (f pl) minLower(g pl) pl { return f.minLowerIn(nil, g) }
 
 // minLowerIn is minLower with intermediates and result carved from sc
-// (nil = heap). Samples are streamed against the previous one instead of
-// materialized, so the only buffers are the merged-X list and the output.
+// (nil = heap). One two-pointer walk over the union of both breakpoint
+// lists drives two evaluation cursors, and samples are streamed against
+// the previous one instead of materialized, so the output is the only
+// buffer.
 func (f pl) minLowerIn(sc *Scratch, g pl) pl {
-	xs := mergedXs(sc, f, g)
 	type sample struct {
 		x      Time
 		fy, gy Value
@@ -743,10 +799,12 @@ func (f pl) minLowerIn(sc *Scratch, g pl) pl {
 		}
 		return b
 	}
-	// Each X yields at most two samples (left limit + right value at a
-	// jump); each sample appends itself plus at most two crossing points,
-	// and the diverging-tail fixup after the loop at most two more.
-	out := sc.take(6*len(xs) + 2)
+	// An X yields two samples (left limit + right value) only at a jump,
+	// which takes two breakpoints at that X, so there are at most
+	// len(f.pts)+len(g.pts) samples. Each appends itself plus at most two
+	// crossing points, and the diverging-tail fixup after the loop at most
+	// two more.
+	out := sc.take(3*(len(f.pts)+len(g.pts)) + 2)
 	var prev sample
 	havePrev := false
 	process := func(s sample) {
@@ -782,10 +840,11 @@ func (f pl) minLowerIn(sc *Scratch, g pl) pl {
 	}
 	// Expand jumps: at a jump of either function emit a left-limit sample
 	// followed by a right-value sample.
-	for _, xp := range xs {
-		x := xp.X
-		fl, fr := f.evalLeft(x), f.evalRight(x)
-		gl, gr := g.evalLeft(x), g.evalRight(x)
+	xs := xMerge{a: f.pts, b: g.pts}
+	fc, gc := evalCursor{f: f}, evalCursor{f: g}
+	for x, ok := xs.next(); ok; x, ok = xs.next() {
+		fl, fr := fc.left(x), fc.right(x)
+		gl, gr := gc.left(x), gc.right(x)
 		if x > 0 && (fl != fr || gl != gr) {
 			process(sample{x, fl, gl})
 		}
@@ -829,35 +888,22 @@ func composeMonotone(sc *Scratch, f, g pl) pl {
 	// Candidate times: g's breakpoints and min{t : g(t) >= y} for every
 	// breakpoint level y of f within g's range. Both streams are already
 	// sorted (g's breakpoints by the pl invariant, the preimages because f's
-	// levels increase and g's inverse is monotone), so they merge with two
+	// levels increase and g's inverse is monotone), so the preimages come
+	// from one forward inverse cursor and the streams merge with two
 	// pointers instead of a sort. The candidate buffer aliases point slots
-	// of the arena (X coordinates only), like mergedXs.
+	// of the arena (X coordinates only).
 	tbuf := sc.take(len(f.pts))
-	gInv := func(y Value) (Time, bool) {
-		if g.pts[0].Y >= y {
-			return 0, true
-		}
-		i := sort.Search(len(g.pts), func(i int) bool { return g.pts[i].Y >= y })
-		if i == len(g.pts) {
-			last := g.pts[len(g.pts)-1]
-			if g.tail <= 0 {
-				return 0, false
-			}
-			return last.X + (y - last.Y), true
-		}
-		p, q := g.pts[i-1], g.pts[i]
-		if q.X > p.X && q.Y-p.Y == q.X-p.X {
-			return p.X + (y - p.Y), true
-		}
-		return q.X, true
-	}
+	inv := inverseCursor{f: g}
 	for _, p := range f.pts {
 		// f changes slope at domain position p.X; include its preimage.
-		if t, ok := gInv(p.X); ok {
+		if t, ok := inv.reach(p.X); ok {
 			tbuf = append(tbuf, Point{X: t})
 		}
 	}
+	// Candidate times increase and g is non-decreasing, so both the inner
+	// and the outer evaluation run on forward cursors.
 	pts := sc.take(len(g.pts) + len(tbuf) + 1)
+	fc, gc := evalCursor{f: f}, evalCursor{f: g}
 	var last Time = -1
 	i, j := 0, 0
 	for i < len(g.pts) || j < len(tbuf) {
@@ -873,7 +919,7 @@ func composeMonotone(sc *Scratch, f, g pl) pl {
 			continue
 		}
 		last = t
-		pts = append(pts, Point{t, f.evalRight(g.evalRight(t))})
+		pts = append(pts, Point{t, fc.right(gc.right(t))})
 	}
 	// The merge always seeds t = 0: g's first breakpoint sits at x = 0 by
 	// the pl representation invariant.

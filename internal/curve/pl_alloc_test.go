@@ -56,6 +56,9 @@ func TestKernelsAllocationFreeWithScratch(t *testing.T) {
 
 	demand := allocDemand()
 	avail := allocAvail()
+	demandC, availC := &Curve{demand}, &Curve{avail}
+	arr := []Time{0, 0, 3, 5, 5, 9, 14, 20}
+	dep := []Time{4, 6, 8, 12, 15, 21, 25, 30}
 
 	kernels := []struct {
 		name string
@@ -69,7 +72,6 @@ func TestKernelsAllocationFreeWithScratch(t *testing.T) {
 			buf = append(buf, demand.pts...)
 			canonIn(sc, buf, demand.tail)
 		}},
-		{"mergedXs", func() { mergedXs(sc, demand, avail) }},
 		{"sumIn", func() { sumIn(sc, 0, 1, []pl{demand, demand}, []pl{avail}) }},
 		{"sumRunningMin", func() { sumRunningMin(sc, 0, 0, []pl{demand}, []pl{avail}, 0) }},
 		{"runningMinSeeded", func() { demand.subIn(sc, avail).runningMinSeeded(sc, 0) }},
@@ -79,6 +81,8 @@ func TestKernelsAllocationFreeWithScratch(t *testing.T) {
 		{"minLowerIn", func() { avail.minLowerIn(sc, demand) }},
 		{"composeMonotone", func() { composeMonotone(sc, avail, avail) }},
 		{"shiftFlat", func() { demand.shiftFlat(sc, 3) }},
+		{"MaxVerticalDeviation", func() { MaxVerticalDeviation(demandC, availC) }},
+		{"MaxBacklog", func() { MaxBacklog(arr, dep) }},
 	}
 
 	for _, k := range kernels {

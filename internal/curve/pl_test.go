@@ -171,15 +171,42 @@ func TestComposeMonotoneDense(t *testing.T) {
 	}
 }
 
-func TestMergedXsSorted(t *testing.T) {
-	r := rand.New(rand.NewSource(69))
-	for trial := 0; trial < 200; trial++ {
-		a, b := randPL(r, 10), randPL(r, 10)
-		xs := mergedXs(nil, a, b)
-		for i := 1; i < len(xs); i++ {
-			if xs[i].X <= xs[i-1].X {
-				t.Fatalf("trial %d: mergedXs not strictly sorted: %v", trial, xs)
+// TestEvalCursorMatchesEval: a cursor walked over a non-decreasing query
+// sequence gives exactly evalRight and evalLeft at every query, on
+// general curves with jumps both ways, negative slopes and nonzero tails.
+// Queries repeat, start at t = 0, hit every breakpoint (so every jump) and
+// run past the last one into the tail.
+func TestEvalCursorMatchesEval(t *testing.T) {
+	r := rand.New(rand.NewSource(70))
+	for trial := 0; trial < 500; trial++ {
+		f := randPL(r, 1+r.Intn(14))
+		var qs []Time
+		for _, p := range f.pts {
+			qs = append(qs, p.X)
+		}
+		last := f.pts[len(f.pts)-1].X
+		for k := 0; k < 30; k++ {
+			qs = append(qs, Time(r.Intn(int(last)+20)))
+		}
+		qs = append(qs, 0, 0, last, last+1, last+50)
+		sortTimes(qs)
+		c, cl := evalCursor{f: f}, evalCursor{f: f}
+		for _, x := range qs {
+			// One cursor mixes left and right at each query; the other
+			// only ever answers left queries.
+			if got, want := c.left(x), f.evalLeft(x); got != want {
+				t.Fatalf("trial %d: left(%d) = %d, evalLeft = %d on %v", trial, x, got, want, f.pts)
 			}
+			if got, want := c.right(x), f.evalRight(x); got != want {
+				t.Fatalf("trial %d: right(%d) = %d, evalRight = %d on %v", trial, x, got, want, f.pts)
+			}
+			if got, want := cl.left(x), f.evalLeft(x); got != want {
+				t.Fatalf("trial %d: left-only left(%d) = %d, evalLeft = %d", trial, x, got, want)
+			}
+		}
+		// A backward query is answered exactly, not from the stale index.
+		if x := Time(r.Intn(int(last) + 1)); c.right(x) != f.evalRight(x) || c.left(x) != f.evalLeft(x) {
+			t.Fatalf("trial %d: backward query at %d disagrees", trial, x)
 		}
 	}
 }

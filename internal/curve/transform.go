@@ -261,14 +261,16 @@ func (ni *NPInterference) UpperServiceNP(sc *Scratch, demand *Curve) *Curve {
 func lowerServiceNP(sc *Scratch, ahat, vhat pl, b Value, demand *Curve) *Curve {
 	// Candidate sticks (v_i, k_i): u = 0 plus every arrival instant. A
 	// stick is stored in a Point (X = v, Y = k) so the candidate buffers
-	// can live in the arena.
+	// can live in the arena. The arrival instants increase, so vhat is
+	// read through a forward cursor.
 	dp := demand.f.pts
 	cands := sc.take(len(dp) + 1)
 	cands = append(cands, Point{0, 0})
+	vc := evalCursor{f: vhat}
 	for i := 1; i < len(dp); i++ {
 		p, q := dp[i-1], dp[i]
 		if q.X == p.X && q.Y > p.Y {
-			cands = append(cands, Point{vhat.evalRight(q.X), p.Y})
+			cands = append(cands, Point{vc.right(q.X), p.Y})
 		}
 	}
 	// cands is already sorted: arrival instants increase, vhat is
@@ -410,15 +412,17 @@ func ComposeFCFS(demand, total, util *Curve, upper bool) *Curve {
 
 // ComposeFCFSIn is ComposeFCFS with the result carved from sc (nil =
 // heap); an arena-backed result must be Cloned to outlive the checkout.
-// The utilization inverse is evaluated with a forward cursor - the query
-// levels G(x_j) are non-decreasing in x_j - so the whole composition is a
-// single linear sweep instead of a binary search per jump.
+// The workload G is read and the utilization inverted through forward
+// cursors - the jump instants x_j increase, and so do the query levels
+// G(x_j) - so the whole composition is a single linear sweep instead of
+// binary searches per jump.
 func ComposeFCFSIn(sc *Scratch, demand, total, util *Curve, upper bool) *Curve {
 	dp := demand.f.pts
 	pts := sc.take(2*len(dp) + 1)
 	pts = append(pts, Point{0, 0})
 	level := Value(0)
-	inv := inverseCursor{f: &util.f}
+	inv := inverseCursor{f: util.f}
+	tc := evalCursor{f: total.f}
 	for i := 1; i < len(dp); i++ {
 		p, q := dp[i-1], dp[i]
 		if q.X != p.X || q.Y <= p.Y {
@@ -432,10 +436,10 @@ func ComposeFCFSIn(sc *Scratch, demand, total, util *Curve, upper bool) *Curve {
 			// G(x-): for x = 0 the left limit over the empty past is 0
 			// (EvalLeft would return the post-jump value).
 			if q.X > 0 {
-				y = total.EvalLeft(q.X)
+				y = tc.left(q.X)
 			}
 		} else {
-			y = total.Eval(q.X)
+			y = tc.right(q.X)
 		}
 		theta := inv.inverse(y)
 		if IsInf(theta) {
@@ -466,28 +470,61 @@ func (c *Curve) AddConstIn(sc *Scratch, v Value) *Curve {
 // gap grows without bound (diverging tails). For an arrival upper bound
 // and a departure lower bound of one subjob this is the maximum backlog -
 // the number of instances simultaneously pending - which sizes the
-// subjob's input queue.
+// subjob's input queue; MaxBacklog computes that case straight from the
+// time vectors.
 func MaxVerticalDeviation(upper, lower *Curve) (Value, bool) {
 	if upper.f.tail > lower.f.tail {
 		return 0, false
 	}
 	// The difference is piecewise linear; its maximum sits at a
 	// breakpoint of either curve (evaluating both one-sided limits
-	// handles jumps).
+	// handles jumps). One walk over the union of the breakpoints reads
+	// both curves through forward cursors.
 	var best Value
-	for _, f := range [2]pl{upper.f, lower.f} {
-		for _, p := range f.pts {
-			if d := upper.f.evalRight(p.X) - lower.f.evalRight(p.X); d > best {
+	xs := xMerge{a: upper.f.pts, b: lower.f.pts}
+	uc, lc := evalCursor{f: upper.f}, evalCursor{f: lower.f}
+	for x, ok := xs.next(); ok; x, ok = xs.next() {
+		if d := uc.right(x) - lc.right(x); d > best {
+			best = d
+		}
+		if x > 0 {
+			if d := uc.left(x) - lc.left(x); d > best {
 				best = d
-			}
-			if p.X > 0 {
-				if d := upper.f.evalLeft(p.X) - lower.f.evalLeft(p.X); d > best {
-					best = d
-				}
 			}
 		}
 	}
 	return best, true
+}
+
+// MaxBacklog returns the largest number of instances simultaneously
+// pending between an arrival and a departure time vector:
+//
+//	max(0, max_t |{i : arr[i] <= t}| - |{i : dep[i] <= t}|)
+//
+// It equals MaxVerticalDeviation(Staircase(arr, 1), Staircase(dep, 1))
+// without building either staircase: the count difference rises only at
+// an arrival instant, so one merge of the two sorted vectors reads every
+// candidate maximum. Like Staircase it panics on a negative or unsorted
+// time; an Inf entry is a time like any other (one that is never reached
+// in practice).
+func MaxBacklog(arr, dep []Time) Value {
+	checkJumps(arr)
+	checkJumps(dep)
+	var best Value
+	i, j := 0, 0
+	for i < len(arr) {
+		t := arr[i]
+		for i < len(arr) && arr[i] == t {
+			i++
+		}
+		for j < len(dep) && dep[j] <= t {
+			j++
+		}
+		if d := Value(i - j); d > best {
+			best = d
+		}
+	}
+	return best
 }
 
 // MaxHorizontalDeviation returns the largest horizontal distance from the
@@ -500,15 +537,17 @@ func MaxVerticalDeviation(upper, lower *Curve) (Value, bool) {
 // per-hop departure lower bound and arrival upper bound. The returned
 // value is Inf if any instance is never completed; it is never negative
 // for sound inputs (a departure cannot precede its release), and the
-// method panics if it would be, as that indicates an analysis bug.
+// method panics if it would be, as that indicates an analysis bug. The
+// levels m increase, so both pseudo-inverses run on forward cursors.
 func MaxHorizontalDeviation(this, ref *Curve, n int) Time {
 	var d Time
+	tc, rc := inverseCursor{f: this.f}, inverseCursor{f: ref.f}
 	for m := 1; m <= n; m++ {
-		td := this.Inverse(Value(m))
+		td := tc.inverse(Value(m))
 		if IsInf(td) {
 			return Inf
 		}
-		ta := ref.Inverse(Value(m))
+		ta := rc.inverse(Value(m))
 		if IsInf(ta) {
 			panic(fmt.Sprintf("curve: reference staircase has no instance %d", m))
 		}

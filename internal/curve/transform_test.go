@@ -289,6 +289,144 @@ func TestMaxHorizontalDeviation(t *testing.T) {
 	}
 }
 
+// TestMaxHorizontalDeviationCursorsMatchInverse: the cursor-driven sweep
+// equals the per-instance pseudo-inverse definition on random staircases,
+// and both panics still fire.
+func TestMaxHorizontalDeviationCursorsMatchInverse(t *testing.T) {
+	r := rand.New(rand.NewSource(72))
+	for trial := 0; trial < 300; trial++ {
+		arr, at := randStaircase(r, 12, 60, 1)
+		n := len(at)
+		if n == 0 {
+			continue
+		}
+		dt := make([]Time, n)
+		for i, a := range at {
+			dt[i] = a + Time(r.Intn(25))
+		}
+		sortTimes(dt)
+		dep := Staircase(dt[:n-r.Intn(2)], 1) // sometimes one instance never departs
+		want := Time(0)
+		for m := 1; m <= n; m++ {
+			td := dep.Inverse(Value(m))
+			if IsInf(td) {
+				want = Inf
+				break
+			}
+			if d := td - arr.Inverse(Value(m)); d > want {
+				want = d
+			}
+		}
+		if got := MaxHorizontalDeviation(dep, arr, n); got != want {
+			t.Fatalf("trial %d: deviation = %d, want %d", trial, got, want)
+		}
+	}
+	arr := Staircase([]Time{0, 10}, 1)
+	mustPanic(t, "curve: reference staircase has no instance 3", func() {
+		MaxHorizontalDeviation(Staircase([]Time{5, 15, 25}, 1), arr, 3)
+	})
+	mustPanic(t, "curve: instance 2 departs at 8 before reference 10", func() {
+		MaxHorizontalDeviation(Staircase([]Time{5, 8}, 1), arr, 2)
+	})
+}
+
+// mustPanic fails unless f panics with exactly msg.
+func mustPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r != msg {
+			t.Fatalf("panic = %v, want %q", r, msg)
+		}
+	}()
+	f()
+}
+
+// denseBacklog is the independent oracle for MaxBacklog: the pending
+// count at every tick up to h and at Inf, counted from scratch.
+func denseBacklog(arr, dep []Time, h Time) Value {
+	count := func(ts []Time, t Time) Value {
+		var n Value
+		for _, x := range ts {
+			if x <= t {
+				n++
+			}
+		}
+		return n
+	}
+	var best Value
+	for t := Time(0); t <= h+1; t++ {
+		if d := count(arr, t) - count(dep, t); d > best {
+			best = d
+		}
+	}
+	if d := count(arr, Inf) - count(dep, Inf); d > best {
+		best = d
+	}
+	return best
+}
+
+// TestMaxBacklogMatchesStaircases: MaxBacklog equals the maximum
+// vertical deviation of the two unit staircases it replaces, and a dense
+// per-tick count, with duplicate times, departures that start late or
+// never, equal vectors and Inf entries. It panics like Staircase on
+// unsorted or negative input.
+func TestMaxBacklogMatchesStaircases(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	times := func(n int) []Time {
+		ts := make([]Time, n)
+		for i := range ts {
+			ts[i] = Time(r.Intn(40))
+			if r.Intn(12) == 0 {
+				ts[i] = Inf
+			}
+		}
+		sortTimes(ts)
+		return ts
+	}
+	check := func(arr, dep []Time) {
+		t.Helper()
+		want, ok := MaxVerticalDeviation(Staircase(arr, 1), Staircase(dep, 1))
+		if !ok {
+			t.Fatalf("staircases of %v, %v diverge", arr, dep)
+		}
+		if dense := denseBacklog(arr, dep, 40); dense != want {
+			t.Fatalf("oracles disagree on %v, %v: staircases %d, dense %d", arr, dep, want, dense)
+		}
+		if got := MaxBacklog(arr, dep); got != want {
+			t.Fatalf("MaxBacklog(%v, %v) = %d, want %d", arr, dep, got, want)
+		}
+	}
+	for trial := 0; trial < 1000; trial++ {
+		arr := times(r.Intn(10))
+		check(arr, times(r.Intn(10)))
+		check(arr, arr)
+		check(arr, nil)
+		// Departures trail arrivals, the shape the engines produce.
+		dep := make([]Time, len(arr))
+		for i, a := range arr {
+			dep[i] = a
+			if a != Inf {
+				dep[i] += Time(r.Intn(15))
+			}
+		}
+		sortTimes(dep)
+		check(arr, dep)
+	}
+	for _, c := range []struct {
+		msg      string
+		arr, dep []Time
+	}{
+		{"curve: release times not sorted", []Time{3, 1}, nil},
+		{"curve: release times not sorted", []Time{1, 3}, []Time{2, 2, 1}},
+		{"curve: negative release time", []Time{-1, 3}, nil},
+		{"curve: negative release time", []Time{0}, []Time{-2}},
+	} {
+		mustPanic(t, c.msg, func() { Staircase(c.arr, 1); Staircase(c.dep, 1) })
+		mustPanic(t, c.msg, func() { MaxBacklog(c.arr, c.dep) })
+	}
+}
+
 func TestAvailability(t *testing.T) {
 	// One higher-priority service consuming [5,15): A flat there.
 	s := fromPL(canon([]Point{{0, 0}, {5, 0}, {15, 10}}, 0), "test")

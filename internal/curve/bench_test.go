@@ -98,6 +98,29 @@ func benchNPInputs() (demand *Curve, interf []*Curve) {
 	}
 }
 
+// BenchmarkSubResidualChain builds the Equation (10) priority-prefix
+// residual t - sum_h S_h(t) link by link over 50 higher-priority curves,
+// alternating bursty workload staircases and unit-slope service curves:
+// the chain a static-priority processor memoizes, and the curve kernel a
+// default-policy admission decision runs most.
+func BenchmarkSubResidualChain(b *testing.B) {
+	curves := make([]*Curve, 50)
+	for i := range curves {
+		curves[i] = benchStaircase(200, int64(i+1))
+		if i%2 == 1 {
+			curves[i] = Utilization(curves[i])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var r *Residual
+		for _, c := range curves {
+			r = SubResidual(r, c)
+		}
+	}
+}
+
 func BenchmarkMinLowerLarge(b *testing.B) {
 	f := Utilization(benchStaircase(2000, 1)).f
 	g := benchStaircase(2000, 2).f

@@ -26,14 +26,6 @@ type Curve struct {
 // Equation (6) in the paper.
 func Zero() *Curve { return &Curve{constPL(0)} }
 
-// Constant returns the constant curve with value v >= 0.
-func Constant(v Value) *Curve {
-	if v < 0 {
-		panic("curve: negative constant curve")
-	}
-	return &Curve{constPL(v)}
-}
-
 // Identity returns f(t) = t, the trivial service upper bound of
 // Equation (5) in the paper and the availability of an idle processor.
 func Identity() *Curve { return &Curve{linearPL(0, 1)} }
@@ -57,7 +49,20 @@ func StaircaseIn(sc *Scratch, jumps []Time, height Value) *Curve {
 		panic("curve: staircase height must be positive")
 	}
 	checkJumps(jumps)
-	pts := sc.take(2*len(jumps) + 1)
+	// The points are canonical as written: the origin, then the (left
+	// limit, value) pair of every distinct release time, whose left point
+	// at t = 0 is the origin itself. So the result is sized exactly and
+	// needs no canonIn pass.
+	n := 1
+	for i, t := range jumps {
+		if i == 0 || t != jumps[i-1] {
+			n += 2
+		}
+	}
+	if len(jumps) > 0 && jumps[0] == 0 {
+		n--
+	}
+	pts := sc.take(n)
 	pts = append(pts, Point{0, 0})
 	level := Value(0)
 	for i := 0; i < len(jumps); {
@@ -66,14 +71,14 @@ func StaircaseIn(sc *Scratch, jumps []Time, height Value) *Curve {
 		for j < len(jumps) && jumps[j] == t {
 			j++
 		}
-		if t > 0 || level > 0 {
+		if t > 0 {
 			pts = append(pts, Point{t, level})
 		}
 		level += Value(j-i) * height
 		pts = append(pts, Point{t, level})
 		i = j
 	}
-	return &Curve{canonIn(sc, pts, 0)}
+	return &Curve{pl{pts: pts, tail: 0}}
 }
 
 // checkJumps panics unless jumps is a valid staircase jump list: sorted
@@ -345,8 +350,8 @@ func (c *Curve) JumpTimes(height Value) []Time {
 }
 
 // Equal reports whether two curves are the same function. Canonical
-// representations are unique (canon drops redundant breakpoints), so
-// pointwise equality reduces to comparing breakpoints and tail slopes.
+// representations are unique (see canonIn), so pointwise equality
+// reduces to comparing breakpoints and tail slopes.
 // The incremental analysis engine uses this to detect service bounds
 // that did not move between fixed-point rounds.
 func (c *Curve) Equal(o *Curve) bool {

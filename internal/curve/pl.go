@@ -2,6 +2,7 @@ package curve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -197,320 +198,374 @@ func (m *xMerge) next() (x Time, ok bool) {
 	return x, true
 }
 
-// canon normalises a list of points produced by an operation into a
-// canonical heap-backed pl; see canonIn.
-func canon(pts []Point, tail int64) pl { return canonIn(nil, pts, tail) }
-
-// canonIn normalises a list of points produced by an operation: it
-// collapses redundant points at equal X (keeping only first and last),
-// drops interior collinear points and returns a canonical pl. The tail
-// slope is taken from the argument. The result breakpoints are carved from
-// sc (nil = an exact-size heap slice); the input buffer is scribbled on
-// either way and left free for reuse by the caller.
+// Canonical form. A pl is canonical when its breakpoints are exactly the
+// point at x = 0, the (left limit, value) pair at every jump, and the
+// points where the segment slope changes; a zero jump, a repeated point or
+// a point collinear with its neighbours (or, last, with the tail) never
+// appears. Canonical representations are unique: any two build paths of
+// the same mathematical function produce identical point lists. The
+// engines rely on this to keep results bit-identical across algebraically
+// equivalent groupings (e.g. the memoized prefix interference sums versus
+// the per-subjob k-way sums).
 //
-// Canonical representations are unique: the emitted breakpoints are
-// exactly the jump positions and slope changes of the function, so any two
-// build paths of the same mathematical function canonicalize to identical
-// point lists. The engines rely on this to keep results bit-identical
-// across algebraically equivalent groupings (e.g. the memoized prefix
-// interference sums versus the per-subjob k-way sums).
+// The kernels emit canonical points directly: the sums and running minima
+// know the slope at every position (see sumIn and runMin), and
+// the remaining kernels stream their candidate points through pushCanon.
+// Either way the points are built in a buffer and copied out exact-size by
+// emitPL, so no result carries slack capacity.
+
+// pushCanon appends p, which must not lie left of the last point of out,
+// and keeps out canonical: a further point at the last X keeps the run's
+// first and newest points (one point if they coincide), and a point at a
+// new X first drops the points that became collinear. out is never longer
+// than the number of points pushed, so pushing a list onto its own prefix
+// canonicalizes it in place.
+func pushCanon(out []Point, p Point) []Point {
+	n := len(out)
+	if n > 0 && out[n-1].X == p.X {
+		switch {
+		case n > 1 && out[n-2].X == p.X:
+			if out[n-2].Y == p.Y {
+				return out[:n-1]
+			}
+			out[n-1] = p
+		case out[n-1].Y != p.Y:
+			out = append(out, p)
+		}
+		return out
+	}
+	for ; n >= 2; n-- {
+		a, b := out[n-2], out[n-1]
+		// b is redundant if (a,b) and (b,p) have equal slope.
+		if a.X == b.X || (b.Y-a.Y)*(p.X-b.X) != (p.Y-b.Y)*(b.X-a.X) {
+			break
+		}
+	}
+	return append(out[:n], p)
+}
+
+// emitPL returns the canonical points pts with tail slope tail as a pl
+// whose breakpoints are an exact-size copy carved from sc (nil = heap), so
+// that pts stays free for reuse. A trailing point collinear with the tail
+// extension of the previous one is dropped first.
+func emitPL(sc *Scratch, pts []Point, tail int64) pl {
+	for n := len(pts); n >= 2; n-- {
+		a, b := pts[n-2], pts[n-1]
+		if a.X == b.X || b.Y-a.Y != tail*(b.X-a.X) {
+			break
+		}
+		pts = pts[:n-1]
+	}
+	if sc == nil {
+		out := make([]Point, len(pts))
+		copy(out, pts)
+		return pl{pts: out, tail: tail}
+	}
+	return pl{pts: append(sc.take(len(pts)), pts...), tail: tail}
+}
+
+// canonIn normalises a sorted list of points produced by an operation into
+// a canonical pl with the given tail slope, in one pass that reuses the
+// input buffer (which is left scribbled on). The result breakpoints are
+// carved from sc (nil = an exact-size heap slice). It serves the kernels
+// whose point lists are genuinely non-canonical (compositions, clamps,
+// shifts); the sums, running minima and staircases emit canonical points
+// directly.
 func canonIn(sc *Scratch, pts []Point, tail int64) pl {
 	if len(pts) == 0 {
 		panic("curve: canon of empty point list")
 	}
-	// Collapse runs of equal X to (first, last); drop zero jumps. Each run
-	// emits at most as many points as it contains, so the write index never
-	// passes the read index and the phase can reuse the input buffer; the
-	// result is copied into a fresh slice below, leaving the caller's
-	// buffer free for reuse (sumIn pools its merge buffer this way).
 	out := pts[:0]
-	for i := 0; i < len(pts); {
-		j := i
-		for j+1 < len(pts) && pts[j+1].X == pts[i].X {
-			j++
-		}
-		if pts[i].Y != pts[j].Y && i != j {
-			out = append(out, pts[i], pts[j])
-		} else {
-			out = append(out, pts[j])
-		}
-		i = j + 1
-	}
-	// Drop interior collinear points.
-	pts = out
-	out = sc.take(len(pts))
 	for _, p := range pts {
-		for len(out) >= 2 {
-			a, b := out[len(out)-2], out[len(out)-1]
-			if a.X == b.X || b.X == p.X {
-				break
-			}
-			// b is redundant if (a,b) and (b,p) have equal slope.
-			s1n, s1d := b.Y-a.Y, b.X-a.X
-			s2n, s2d := p.Y-b.Y, p.X-b.X
-			if s1n*s2d == s2n*s1d {
-				out = out[:len(out)-1]
-			} else {
-				break
-			}
-		}
-		out = append(out, p)
+		out = pushCanon(out, p)
 	}
-	// Drop a trailing point collinear with the tail extension of the
-	// previous point.
-	for len(out) >= 2 {
-		a, b := out[len(out)-2], out[len(out)-1]
-		if a.X != b.X && b.Y-a.Y == tail*(b.X-a.X) {
-			out = out[:len(out)-1]
-		} else {
-			break
-		}
-	}
-	return pl{pts: out, tail: tail}
+	return emitPL(sc, out, tail)
 }
 
-// sumCursor walks one summand of sumIn left to right. i is the index of
-// the last breakpoint at or before the sweep position and slope the
-// segment slope immediately to its right (past any jump at that position).
-// sign is +1 for added summands and -1 for subtracted ones: subtraction
-// rides the same merge instead of materializing a negated copy of every
-// subtrahend, which used to be the single largest allocation source of the
-// whole analysis (the interference sums negate one curve per
-// higher-priority neighbor).
+// sumCursor walks one summand of a signed sum left to right. i is the
+// index of the last breakpoint at or before the sweep position, nx the
+// position of the next breakpoint (Inf past the last one) and slope the
+// segment slope immediately right of i (past any jump there). sign is +1
+// for added summands and -1 for subtracted ones: subtraction rides the
+// same merge instead of materializing a negated copy of every subtrahend,
+// which used to be the single largest allocation source of the whole
+// analysis (the interference sums negate one curve per higher-priority
+// neighbor).
 type sumCursor struct {
 	pts   []Point
 	tail  int64
 	i     int
+	nx    Time
 	slope int64
 	sign  int64
 }
 
-// slopeAfter returns the signed slope immediately right of the cursor
-// position. The cursor is always past every duplicate-X point, so the next
-// point (if any) is at a strictly larger X.
-func (c *sumCursor) slopeAfter() int64 {
-	if c.i+1 < len(c.pts) {
-		p, q := c.pts[c.i], c.pts[c.i+1]
-		return c.sign * (q.Y - p.Y) / (q.X - p.X)
+// settle sets nx and the signed slope for the breakpoint at i, which must
+// be the last one at its X, so the next point (if any) is at a strictly
+// larger X.
+func (c *sumCursor) settle() {
+	if c.i+1 == len(c.pts) {
+		c.nx, c.slope = Inf, c.sign*c.tail
+		return
 	}
-	return c.sign * c.tail
+	p, q := c.pts[c.i], c.pts[c.i+1]
+	c.nx = q.X
+	c.slope = c.sign * (q.Y - p.Y) / (q.X - p.X)
 }
 
-// sumScratch holds the reusable per-call buffers of sumIn: the cursor
-// array and the merged-breakpoint buffer. canonIn copies the result out of
-// the merge buffer, so neither buffer escapes a call and both can be
-// recycled by the next (possibly concurrent) sum.
-type sumScratch struct {
-	cs  []sumCursor
-	pts []Point
-}
-
-var sumPool = sync.Pool{New: func() any { return new(sumScratch) }}
-
-// sumPL returns the pointwise sum of the fs; see sumIn.
-func sumPL(fs []pl) pl {
-	if len(fs) == 1 {
-		return fs[0] // pls are immutable; sharing is safe
+// step is the cursor step shared by every sum kernel: it moves the cursor
+// past its breakpoints at nx and returns the signed jump there and the
+// change of its signed slope. The first point at nx carries the left
+// limit, the last one the value.
+func (c *sumCursor) step() (jump Value, dslope int64) {
+	x, old := c.nx, c.slope
+	c.i++
+	left := c.pts[c.i].Y
+	for c.i+1 < len(c.pts) && c.pts[c.i+1].X == x {
+		c.i++
 	}
-	return sumIn(nil, 0, 0, fs, nil)
+	c.settle()
+	return c.sign * (c.pts[c.i].Y - left), c.slope - old
 }
 
-// sumIn returns y0 + slope*t + sum(plus) - sum(minus) in a single k-way
-// signed linear merge: one left-to-right sweep over the union of all
-// breakpoints, maintaining the summed value and summed slope
-// incrementally. This is the engine behind the binary add and sub, the
-// exported Sum, and every availability/interference combination
-// (linearSubSum), replacing both the former per-breakpoint binary-search
-// evaluation and the former per-subtrahend negated copies. Scratch buffers
-// are pooled: the FCFS path sums one staircase per co-located subjob for
-// every subjob of the processor, and the fixed-point engine re-sums on
-// every dirty evaluation, so the merge buffers are the hottest allocation
-// in the entire analysis. The result breakpoints are carved from sc
-// (nil = heap).
+// sumSweep is the signed k-way merge behind sumIn and sumRunningMin: one
+// left-to-right walk over the union of the summands' breakpoints that
+// keeps the summed value and slope incrementally. Between two positions
+// every summand is linear, so the left limit at a position is the linear
+// extension of the running sum, and each summand breaking there adds its
+// own jump and slope change. Its buffers are pooled: the interference sums
+// run once per priority-prefix link and per service transform, so they
+// are the hottest allocation of the analysis.
+type sumSweep struct {
+	cs    []sumCursor
+	pts   []Point // output build buffer, copied out exact-size by emitPL
+	x     Time    // last visited position
+	val   Value   // the sum just right of x
+	slope int64   // the summed slope just right of x; the tail at the end
+}
+
+var sumPool = sync.Pool{New: func() any { return new(sumSweep) }}
+
+// getSumSweep checks out a sweep positioned at x = 0 over
+// y0 + slope*t + sum(plus) - sum(minus), with an empty build buffer.
+func getSumSweep(y0 Value, slope int64, plus, minus []pl) *sumSweep {
+	s := sumPool.Get().(*sumSweep)
+	s.x, s.val, s.slope = 0, y0, slope
+	for k, fs := range [2][]pl{plus, minus} {
+		sign := int64(1 - 2*k) // +1 for plus, -1 for minus
+		for _, f := range fs {
+			c := sumCursor{pts: f.pts, tail: f.tail, sign: sign}
+			for c.i+1 < len(c.pts) && c.pts[c.i+1].X == 0 {
+				c.i++ // start from the post-jump value at x = 0
+			}
+			c.settle()
+			s.val += sign * c.pts[c.i].Y
+			s.slope += c.slope
+			s.cs = append(s.cs, c)
+		}
+	}
+	return s
+}
+
+// put returns the sweep to the pool, dropping its summand references so
+// the pool pins nothing.
+func (s *sumSweep) put() {
+	for i := range s.cs {
+		s.cs[i] = sumCursor{}
+	}
+	s.cs, s.pts = s.cs[:0], s.pts[:0]
+	sumPool.Put(s)
+}
+
+// next advances to the next breakpoint position x of any summand. It
+// returns the sum's left limit there and the change of the summed slope;
+// afterwards s.val is the value at x and s.slope the slope right of it.
+// ok is false once every summand is exhausted; s.slope is then the tail.
+func (s *sumSweep) next() (x Time, left Value, dslope int64, ok bool) {
+	x = Inf
+	for n := range s.cs {
+		x = min(x, s.cs[n].nx)
+	}
+	if x == Inf {
+		return x, 0, 0, false
+	}
+	left = s.val + s.slope*(x-s.x)
+	s.x, s.val = x, left
+	for n := range s.cs {
+		if c := &s.cs[n]; c.nx == x {
+			j, d := c.step()
+			s.val += j
+			dslope += d
+		}
+	}
+	s.slope += dslope
+	return x, left, dslope, true
+}
+
+// sumIn returns y0 + slope*t + sum(plus) - sum(minus) in a single signed
+// merge (sumSweep). This is the engine behind the binary add and sub, the
+// exported Sum, the residual chain and every availability/interference
+// combination (linearSubSum). Points are emitted canonical: sweep
+// positions strictly increase and carry no zero jump, so a jump emits its
+// (left limit, value) pair, any other position emits a point only where
+// the summed slope changes there, and the tail is the final summed slope,
+// so no collinear point is ever written. The result breakpoints are
+// carved from sc (nil = an exact-size heap slice).
 func sumIn(sc *Scratch, y0 Value, slope int64, plus, minus []pl) pl {
 	if len(plus)+len(minus) == 0 {
 		return linearPL(y0, slope)
 	}
-	ss := sumPool.Get().(*sumScratch)
-	cs := ss.cs[:0]
-	tail, slopeSum := slope, slope
-	valRight := y0
-	npts := 0
-	for s, fs := range [2][]pl{plus, minus} {
-		sign := int64(1 - 2*s) // +1 for plus, -1 for minus
-		for _, f := range fs {
-			c := sumCursor{pts: f.pts, tail: f.tail, sign: sign}
-			for c.i+1 < len(c.pts) && c.pts[c.i+1].X == 0 {
-				c.i++ // start from the post-jump value at x = 0
-			}
-			c.slope = c.slopeAfter()
-			valRight += sign * c.pts[c.i].Y
-			slopeSum += c.slope
-			tail += sign * f.tail
-			npts += len(c.pts)
-			cs = append(cs, c)
-		}
+	s := getSumSweep(y0, slope, plus, minus)
+	// A position emits at most as many points as summand breakpoints it
+	// passes (a jump pair needs a summand jump), plus the origin.
+	n := 1
+	for _, c := range s.cs {
+		n += len(c.pts)
 	}
-	pts := ss.pts[:0]
-	if cap(pts) < npts+1 {
-		pts = make([]Point, 0, npts+1)
-	}
-	pts = append(pts, Point{0, valRight})
-	prevX := Time(0)
+	pts := append(slices.Grow(s.pts, n), Point{0, s.val})
 	for {
-		// Next sweep position: the smallest unvisited breakpoint.
-		next := Inf
-		for n := range cs {
-			c := &cs[n]
-			if c.i+1 < len(c.pts) && c.pts[c.i+1].X < next {
-				next = c.pts[c.i+1].X
-			}
-		}
-		if next == Inf {
+		x, l, ds, ok := s.next()
+		if !ok {
 			break
 		}
-		// All summands are linear on (prevX, next), so the left limit is
-		// the linear extension of the running sum; jumps at next add the
-		// difference between each summand's post-jump value and its own
-		// linear extension.
-		l := valRight + slopeSum*(next-prevX)
-		r := l
-		for n := range cs {
-			c := &cs[n]
-			if c.i+1 < len(c.pts) && c.pts[c.i+1].X == next {
-				// Signed left limit of this summand at next: c.slope is
-				// already sign-folded, the base value is not.
-				leftF := c.sign*c.pts[c.i].Y + c.slope*(next-c.pts[c.i].X)
-				for c.i+1 < len(c.pts) && c.pts[c.i+1].X == next {
-					c.i++
-				}
-				r += c.sign*c.pts[c.i].Y - leftF
-				slopeSum -= c.slope
-				c.slope = c.slopeAfter()
-				slopeSum += c.slope
-			}
+		if l != s.val {
+			pts = append(pts, Point{x, l}, Point{x, s.val})
+		} else if ds != 0 {
+			pts = append(pts, Point{x, l})
 		}
-		if l != r {
-			pts = append(pts, Point{next, l})
-		}
-		pts = append(pts, Point{next, r})
-		prevX, valRight = next, r
 	}
-	out := canonIn(sc, pts, tail)
-	for i := range cs {
-		cs[i] = sumCursor{} // drop summand references so the pool pins nothing
-	}
-	ss.cs, ss.pts = cs[:0], pts[:0]
-	sumPool.Put(ss)
+	out := emitPL(sc, pts, s.slope)
+	s.pts = pts
+	s.put()
 	return out
 }
 
 // sumRunningMin returns h(t) = min(seed, inf_{0<=s<=t} F(s)) for
-// F = y0 + slope*t + sum(plus) - sum(minus), fusing sumIn's signed k-way
-// merge with the runningMinSeeded transform: the summed curve is never
-// materialized, and the output carries only the breakpoints where the
-// minimum actually moves — typically a handful next to the interference
-// sums the service transforms feed in. Left limits at downward jumps are
-// accounted exactly as in runningMinSeeded; the same slope restrictions
-// apply (a dip below the minimum must happen at slope -1 so the crossing
-// stays on the integer grid). The result is carved from sc (nil = heap)
-// and bit-identical to materializing the sum and running
-// runningMinSeeded over it (both canonicalize the same function).
+// F = y0 + slope*t + sum(plus) - sum(minus), the running-minimum transform
+// (runMin) fed straight from sumIn's signed merge: the summed curve is
+// never materialized, and the output carries only the breakpoints where
+// the minimum actually moves — typically a handful next to the
+// interference sums the service transforms feed in. The result is carved
+// from sc (nil = an exact-size heap slice) and bit-identical to
+// materializing the sum and running runningMinSeeded over it (both emit
+// the canonical form of the same function).
 func sumRunningMin(sc *Scratch, y0 Value, slope int64, plus, minus []pl, seed Value) pl {
-	ss := sumPool.Get().(*sumScratch)
-	cs := ss.cs[:0]
-	tail, slopeSum := slope, slope
-	valRight := y0
-	for s, fs := range [2][]pl{plus, minus} {
-		sign := int64(1 - 2*s) // +1 for plus, -1 for minus
-		for _, f := range fs {
-			c := sumCursor{pts: f.pts, tail: f.tail, sign: sign}
-			for c.i+1 < len(c.pts) && c.pts[c.i+1].X == 0 {
-				c.i++ // start from the post-jump value at x = 0
-			}
-			c.slope = c.slopeAfter()
-			valRight += sign * c.pts[c.i].Y
-			slopeSum += c.slope
-			tail += sign * f.tail
-			cs = append(cs, c)
-		}
-	}
-	pts := ss.pts[:0]
-	cur := seed
-	if valRight < cur {
-		cur = valRight
-	}
-	pts = append(pts, Point{0, cur})
-	prevX := Time(0)
+	s := getSumSweep(y0, slope, plus, minus)
+	h := newRunMin(s.pts, min(seed, s.val))
 	for {
-		next := Inf
-		for n := range cs {
-			c := &cs[n]
-			if c.i+1 < len(c.pts) && c.pts[c.i+1].X < next {
-				next = c.pts[c.i+1].X
-			}
-		}
-		if next == Inf {
+		x0, v0 := s.x, s.val
+		x, l, _, ok := s.next()
+		if !ok {
 			break
 		}
-		// The sum is linear on (prevX, next); its left limit at next is l.
-		l := valRight + slopeSum*(next-prevX)
-		if l < cur {
-			// The segment dips below the running minimum; find the crossing.
-			if slopeSum >= 0 {
-				panic("curve: runningMin: non-decreasing segment dips below minimum")
-			}
-			if slopeSum < -1 {
-				panic("curve: runningMin: slope below -1 unsupported")
-			}
-			pts = append(pts, Point{prevX + (cur-valRight)/slopeSum, cur}, Point{next, l})
-			cur = l
-		}
-		r := l
-		for n := range cs {
-			c := &cs[n]
-			if c.i+1 < len(c.pts) && c.pts[c.i+1].X == next {
-				// Signed left limit of this summand at next: c.slope is
-				// already sign-folded, the base value is not.
-				leftF := c.sign*c.pts[c.i].Y + c.slope*(next-c.pts[c.i].X)
-				for c.i+1 < len(c.pts) && c.pts[c.i+1].X == next {
-					c.i++
-				}
-				r += c.sign*c.pts[c.i].Y - leftF
-				slopeSum -= c.slope
-				c.slope = c.slopeAfter()
-				slopeSum += c.slope
-			}
-		}
-		if r < cur {
-			// Downward jump below the minimum at next.
-			pts = append(pts, Point{next, cur}, Point{next, r})
-			cur = r
-		}
-		prevX, valRight = next, r
+		h.to(x0, v0, x, l, s.val)
 	}
-	var out pl
-	if tail < 0 {
-		if tail < -1 {
-			panic("curve: runningMin: tail slope below -1 unsupported")
-		}
-		if valRight > cur {
-			// Flat at cur until the tail crosses it, then follow the tail.
-			pts = append(pts, Point{prevX + (cur-valRight)/tail, cur})
-		} else {
-			pts = append(pts, Point{prevX, cur})
-		}
-		out = canonIn(sc, pts, tail)
-	} else {
-		pts = append(pts, Point{prevX, cur})
-		out = canonIn(sc, pts, 0)
-	}
-	for i := range cs {
-		cs[i] = sumCursor{} // drop summand references so the pool pins nothing
-	}
-	ss.cs, ss.pts = cs[:0], pts[:0]
-	sumPool.Put(ss)
+	out := emitPL(sc, h.pts, h.end(s.x, s.val, s.slope))
+	s.pts = h.pts
+	s.put()
 	return out
+}
+
+// runningMinSeeded returns h(t) = min(seed, inf_{0<=s<=t} f(s)), fed to
+// runMin one breakpoint position of f at a time. The result is carved
+// from sc (nil = an exact-size heap slice).
+func (f pl) runningMinSeeded(sc *Scratch, seed Value) pl {
+	// A pre-jump marker at x = 0 is not a function value (the domain
+	// starts at 0 and evaluation is right-continuous); start from the
+	// post-jump value.
+	i := 0
+	if len(f.pts) > 1 && f.pts[1].X == 0 {
+		i = 1
+	}
+	// The canonical output has at most a crossing and an end point per
+	// input breakpoint, plus the origin and a tail crossing.
+	h := newRunMin(sc.take(2*len(f.pts)+2), min(seed, f.pts[i].Y))
+	for i+1 < len(f.pts) {
+		q := f.pts[i]
+		i++
+		l := f.pts[i].Y // the first point at an X carries the left limit
+		for i+1 < len(f.pts) && f.pts[i+1].X == f.pts[i].X {
+			i++
+		}
+		h.to(q.X, q.Y, f.pts[i].X, l, f.pts[i].Y)
+	}
+	return emitPL(sc, h.pts, h.end(f.pts[i].X, f.pts[i].Y, f.tail))
+}
+
+// runMin builds h(t) = min(seed, inf_{0<=s<=t} F(s)) as F is fed to it
+// left to right, one linear stretch at a time. The infimum accounts for
+// left limits at downward jumps (the infimum over a closed interval of a
+// right-continuous function). Where F dips below the minimum its slope
+// must be -1, which keeps every crossing on the integer grid; rising
+// slopes are unrestricted. h is then a sequence of pieces of slope 0 or
+// -1 separated by downward jumps, and runMin emits its canonical
+// breakpoints directly: a piece opens a point only where its slope
+// differs from the previous piece's, and a jump emits its pair.
+type runMin struct {
+	pts   []Point
+	cur   Value // h at the last position fed
+	slope int64 // slope of the piece the last point opened (1 = none yet)
+}
+
+// newRunMin starts h at (0, h0), building into buf.
+func newRunMin(buf []Point, h0 Value) runMin {
+	return runMin{pts: append(buf[:0], Point{0, h0}), cur: h0, slope: 1}
+}
+
+// to feeds the stretch of F that leaves (x0, v0), is linear up to x > x0
+// and has left limit l and value r at x.
+func (h *runMin) to(x0 Time, v0 Value, x Time, l, r Value) {
+	if l < h.cur {
+		// F dips below the minimum, on a slope that v0 >= cur makes
+		// negative and the integer grid needs to be -1.
+		if (l-v0)/(x-x0) < -1 {
+			panic("curve: runningMin: slope below -1 unsupported")
+		}
+		h.dip(x0, v0)
+		h.cur = l
+	} else {
+		h.piece(x0, 0)
+	}
+	if r < h.cur {
+		// Downward jump below the minimum at x.
+		h.pts = append(h.pts, Point{x, h.cur}, Point{x, r})
+		h.cur = r
+	}
+}
+
+// end feeds the tail of F, which leaves (x0, v0) with slope tail, and
+// returns the tail slope of h.
+func (h *runMin) end(x0 Time, v0 Value, tail int64) int64 {
+	if tail >= 0 {
+		h.piece(x0, 0)
+		return 0
+	}
+	if tail < -1 {
+		panic("curve: runningMin: tail slope below -1 unsupported")
+	}
+	h.dip(x0, v0)
+	return -1
+}
+
+// dip continues h from x0, where F = v0 >= cur falls at slope -1: flat
+// at cur until F reaches it, then following F down.
+func (h *runMin) dip(x0 Time, v0 Value) {
+	if xc := x0 + (v0 - h.cur); xc > x0 {
+		h.piece(x0, 0)
+		h.piece(xc, -1)
+	} else {
+		h.piece(x0, -1)
+	}
+}
+
+// piece continues h from (x, cur) with slope s. The point is a breakpoint
+// only where the slope changes, and is skipped when it is already the
+// last point (the origin, or the value after a jump).
+func (h *runMin) piece(x Time, s int64) {
+	if s != h.slope && h.pts[len(h.pts)-1] != (Point{x, h.cur}) {
+		h.pts = append(h.pts, Point{x, h.cur})
+	}
+	h.slope = s
 }
 
 // shiftFlat returns F'(y) = F(max(y-b, 0)) for b >= 0: F delayed by b
@@ -535,9 +590,6 @@ func (f pl) add(g pl) pl { return f.addIn(nil, g) }
 func (f pl) addIn(sc *Scratch, g pl) pl {
 	return sumIn(sc, 0, 0, []pl{f, g}, nil)
 }
-
-// neg returns -f.
-func (f pl) neg() pl { return f.negIn(nil) }
 
 // negIn is neg with the result carved from sc (nil = heap).
 func (f pl) negIn(sc *Scratch) pl {
@@ -580,121 +632,21 @@ func (f pl) heap(sc *Scratch) pl {
 	return pl{pts: pts, tail: f.tail}
 }
 
-// runningMin returns h with h(t) = inf_{0 <= s <= t} f(s). The infimum
-// accounts for left limits at jump points (the infimum over a closed
-// interval of a right-continuous function). Downward segment slopes of f
-// must be >= -1 (rising slopes are unrestricted); this keeps every crossing
-// point on the integer grid, which the analysis relies on. The result has
-// slopes in {-1, 0}.
-func (f pl) runningMin() pl {
-	return f.runningMinSeeded(nil, f.evalRight(0))
-}
-
-// runningMinSeeded is runningMin with an additional candidate value seed
-// injected at t = 0: h(t) = min(seed, inf_{0<=s<=t} f(s)). The service
-// transforms use seed = c(0-) - A(0-) = 0, the "empty prefix" candidate of
-// the paper's min terms: without it, instances released exactly at time 0
-// would be treated as if their full workload had been served instantly.
-// The result is carved from sc (nil = heap).
-func (f pl) runningMinSeeded(sc *Scratch, seed Value) pl {
-	// Worst case each input breakpoint emits a crossing point plus the
-	// breakpoint itself, and the tail handling appends one more pair.
-	out := sc.take(2*len(f.pts) + 2)
-	// A pre-jump marker at x = 0 is not a function value (the domain
-	// starts at 0 and evaluation is right-continuous); start from the
-	// post-jump value.
-	start := 0
-	if len(f.pts) > 1 && f.pts[1].X == 0 {
-		start = 1
-	}
-	cur := seed // running infimum so far
-	if f.pts[start].Y < cur {
-		cur = f.pts[start].Y
-	}
-	out = append(out, Point{0, cur})
-	emit := func(p Point) {
-		out = append(out, p)
-	}
-	for i := start; i < len(f.pts); i++ {
-		p := f.pts[i]
-		// Value reached at p.X from the left is evalLeft; the sweep
-		// visits points in order so jumps appear as two points.
-		if p.Y < cur {
-			// The function dips below the running minimum somewhere in
-			// (prevX, p.X]. Find where it crosses cur.
-			if i == 0 {
-				cur = p.Y
-				out[0] = Point{0, cur}
-				continue
-			}
-			q := f.pts[i-1]
-			if q.X == p.X {
-				// Downward jump below cur: minimum drops at p.X.
-				emit(Point{p.X, cur})
-				emit(Point{p.X, p.Y})
-				cur = p.Y
-				continue
-			}
-			slope := (p.Y - q.Y) / (p.X - q.X)
-			if slope >= 0 {
-				panic("curve: runningMin: non-decreasing segment dips below minimum")
-			}
-			if slope < -1 {
-				panic("curve: runningMin: slope below -1 unsupported")
-			}
-			// q.Y + slope*(x-q.X) == cur  =>  x = q.X + (cur-q.Y)/slope.
-			x := q.X + (cur-q.Y)/slope
-			emit(Point{x, cur})
-			emit(p)
-			cur = p.Y
-			continue
-		}
-		// p.Y >= cur: minimum unchanged at this breakpoint, but the
-		// segment leading *out* of p may dip; handled on next iteration.
-		// Also check the segment between this point and the next: if it
-		// decreases we will catch the dip at the next breakpoint; if this
-		// is the last point the tail may dip, handled below.
-	}
-	last := f.pts[len(f.pts)-1]
-	if f.tail < 0 {
-		if f.tail < -1 {
-			panic("curve: runningMin: tail slope below -1 unsupported")
-		}
-		if last.Y > cur {
-			// Flat at cur until the tail crosses it, then follow the tail.
-			x := last.X + (cur-last.Y)/f.tail
-			emit(Point{x, cur})
-		} else {
-			emit(Point{last.X, cur})
-		}
-		return canonIn(sc, out, f.tail)
-	}
-	emit(Point{last.X, cur})
-	return canonIn(sc, out, 0)
-}
-
-// runningMax returns h with h(t) = sup_{0 <= s <= t} f(s), accounting for
-// left limits at downward jumps. Segment slopes must lie in {-1, 0, 1}.
-// The result has slopes in {0, 1} and is used to make sound lower service
-// bounds monotone (a running maximum of a lower bound on a non-decreasing
-// function is still a lower bound).
-func (f pl) runningMax() pl { return f.runningMaxIn(nil) }
-
-// runningMaxIn is runningMax with intermediates and result carved from sc
-// (nil = heap). An already non-decreasing f is its own running maximum and
-// is returned as-is (shared, copy-on-write style): the interference terms
-// of lightly loaded processors are usually already monotone, and skipping
-// the rebuild skips the largest buffer of the transform.
+// runningMaxIn returns h with h(t) = sup_{0 <= s <= t} f(s), accounting
+// for left limits at downward jumps, with intermediates and result carved
+// from sc (nil = heap). Segment slopes must lie in {-1, 0, 1}. The result
+// has slopes in {0, 1} and is used to make sound lower service bounds
+// monotone (a running maximum of a lower bound on a non-decreasing
+// function is still a lower bound). An already non-decreasing f is its
+// own running maximum and is returned as-is (shared, copy-on-write style):
+// the interference terms of lightly loaded processors are usually already
+// monotone, and skipping the rebuild skips the largest buffer of the
+// transform.
 func (f pl) runningMaxIn(sc *Scratch) pl {
 	if f.isNonDecreasing() {
 		return f
 	}
-	return f.negIn(sc).runningMinSeedHereIn(sc).negIn(sc)
-}
-
-// runningMinSeedHereIn is runningMin (seed = f(0)) carved from sc.
-func (f pl) runningMinSeedHereIn(sc *Scratch) pl {
-	return f.runningMinSeeded(sc, f.evalRight(0))
+	return f.negIn(sc).runningMinSeeded(sc, -f.evalRight(0)).negIn(sc)
 }
 
 // clampMin returns max(f, v) pointwise. Upward crossings must happen on
@@ -784,10 +736,11 @@ func (f pl) clampMaxIn(sc *Scratch, v Value) pl {
 func (f pl) minLower(g pl) pl { return f.minLowerIn(nil, g) }
 
 // minLowerIn is minLower with intermediates and result carved from sc
-// (nil = heap). One two-pointer walk over the union of both breakpoint
-// lists drives two evaluation cursors, and samples are streamed against
-// the previous one instead of materialized, so the output is the only
-// buffer.
+// (nil = an exact-size heap slice). One two-pointer walk over the union
+// of both breakpoint lists drives two evaluation cursors, samples are
+// streamed against the previous one instead of materialized, and every
+// output point goes through pushCanon as it is emitted, so the only
+// buffer is the one the result is built in.
 func (f pl) minLowerIn(sc *Scratch, g pl) pl {
 	type sample struct {
 		x      Time
@@ -801,7 +754,7 @@ func (f pl) minLowerIn(sc *Scratch, g pl) pl {
 	}
 	// An X yields two samples (left limit + right value) only at a jump,
 	// which takes two breakpoints at that X, so there are at most
-	// len(f.pts)+len(g.pts) samples. Each appends itself plus at most two
+	// len(f.pts)+len(g.pts) samples. Each pushes itself plus at most two
 	// crossing points, and the diverging-tail fixup after the loop at most
 	// two more.
 	out := sc.take(3*(len(f.pts)+len(g.pts)) + 2)
@@ -821,21 +774,21 @@ func (f pl) minLowerIn(sc *Scratch, g pl) pl {
 				// x* = p.x + num/den with den != 0 by sign change.
 				if num%den == 0 {
 					x := p.x + num/den
-					out = append(out, Point{x, p.fy + sf*(x-p.x)})
+					out = pushCanon(out, Point{x, p.fy + sf*(x-p.x)})
 				} else {
 					// Fractional crossing: bracket it with the exact
 					// values at the neighbouring integer grid points.
 					x := p.x + num/den // floor or toward-zero; num,den same sign
 					if x > p.x {
-						out = append(out, Point{x, min2(p.fy+sf*(x-p.x), p.gy+sg*(x-p.x))})
+						out = pushCanon(out, Point{x, min2(p.fy+sf*(x-p.x), p.gy+sg*(x-p.x))})
 					}
 					if x+1 < s.x {
-						out = append(out, Point{x + 1, min2(p.fy+sf*(x+1-p.x), p.gy+sg*(x+1-p.x))})
+						out = pushCanon(out, Point{x + 1, min2(p.fy+sf*(x+1-p.x), p.gy+sg*(x+1-p.x))})
 					}
 				}
 			}
 		}
-		out = append(out, Point{s.x, min2(s.fy, s.gy)})
+		out = pushCanon(out, Point{s.x, min2(s.fy, s.gy)})
 		prev, havePrev = s, true
 	}
 	// Expand jumps: at a jump of either function emit a left-limit sample
@@ -867,16 +820,16 @@ func (f pl) minLowerIn(sc *Scratch, g pl) pl {
 				return Point{last.x + k, min2(last.fy+f.tail*k, last.gy+g.tail*k)}
 			}
 			if num%den == 0 {
-				out = append(out, at(k))
+				out = pushCanon(out, at(k))
 			} else {
 				if k > 0 {
-					out = append(out, at(k))
+					out = pushCanon(out, at(k))
 				}
-				out = append(out, at(k+1))
+				out = pushCanon(out, at(k+1))
 			}
 		}
 	}
-	return canonIn(sc, out, tail)
+	return emitPL(sc, out, tail)
 }
 
 // composeMonotone returns f(g(t)) for non-decreasing f and g with segment

@@ -3,7 +3,7 @@ package curve
 import "sync"
 
 // Scratch is a per-evaluation bump arena for the breakpoint buffers of the
-// curve kernels. The hot transforms (sumIn, runningMinSeeded, clampMax,
+// curve kernels. The hot transforms (sumIn, sumRunningMin, clampMax,
 // minLower, composeMonotone, Staircase, ComposeFCFS, ...) build several
 // intermediate point lists per call; without an arena every one of them is
 // a short-lived heap allocation, and the large-system analyses spend a
@@ -18,9 +18,10 @@ import "sync"
 //   - Buffers returned by take may be used only while the Scratch is
 //     checked out; Reset (or PutScratch) recycles every slab at once.
 //   - An exported *Curve must never alias scratch memory: every kernel
-//     canonicalizes its *final* result with a nil Scratch (canonIn(nil,
-//     ...) makes an exact-size heap copy), so results stay valid after the
-//     arena is recycled. Only intermediates live in the arena.
+//     builds its *final* result with a nil Scratch, whose breakpoints are
+//     then a heap slice with cap == len (emitPL and heap copy out at
+//     exact size), so results stay valid after the arena is recycled and
+//     memoized curves pin no slack. Only intermediates live in the arena.
 //   - A Scratch is not safe for concurrent use; check one out per
 //     goroutine (the engines check one out per subjob evaluation).
 //

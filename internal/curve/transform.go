@@ -18,13 +18,6 @@ func Availability(services []*Curve) *Curve {
 	return fromPL(linearSubSum(nil, 0, 1, services), "Availability")
 }
 
-// AvailabilityIn is Availability with the result carved from sc: the
-// returned curve aliases the arena and is only valid until the Scratch is
-// reset, so it must stay an intermediate (Clone it to persist).
-func AvailabilityIn(sc *Scratch, services []*Curve) *Curve {
-	return fromPL(linearSubSum(sc, 0, 1, services), "Availability")
-}
-
 // AvailabilityFromResidual is Availability over a memoized residual
 // chain (nil = empty set of higher-priority subjobs). The engines keep
 // one chain per processor over the priority order (Higher(r) is always
